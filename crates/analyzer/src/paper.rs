@@ -1,8 +1,12 @@
 //! The paper's evaluation workload (§8): the twelve XPath expressions of
 //! Fig 21 and the decision problems of Table 2.
 
+use std::sync::Arc;
+
 use treetypes::Dtd;
 use xpath::Expr;
+
+use crate::Problem;
 
 /// The XPath expressions e1–e12 of Fig 21 (1-indexed source strings).
 pub const QUERIES: [&str; 12] = [
@@ -141,6 +145,85 @@ pub fn table2() -> Vec<Table2Row> {
     ]
 }
 
+/// One decided direction of a Table 2 row, by Fig 21 query indices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// `e_lhs ⊆ e_rhs`.
+    Contains(usize, usize),
+    /// `e_q` is satisfiable.
+    Sat(usize),
+    /// `e_q ⊆ e_a ∪ e_b ∪ e_c`.
+    Covers(usize, [usize; 3]),
+}
+
+impl Direction {
+    /// The property in the paper's notation, e.g. `e6 ⊆ e5`.
+    pub fn label(self) -> String {
+        match self {
+            Direction::Contains(l, r) => format!("e{l} ⊆ e{r}"),
+            Direction::Sat(q) => format!("e{q} is satisfiable"),
+            Direction::Covers(q, [a, b, c]) => format!("e{q} ⊆ e{a} ∪ e{b} ∪ e{c}"),
+        }
+    }
+
+    /// The decision problem, every query typed with `dtd`.
+    pub fn problem(self, dtd: Option<&Arc<Dtd>>) -> Problem {
+        let q = |i: usize| Arc::new(query(i));
+        match self {
+            Direction::Contains(l, r) => Problem::contains(q(l), dtd.cloned(), q(r), dtd.cloned()),
+            Direction::Sat(i) => Problem::sat(q(i), dtd.cloned()),
+            Direction::Covers(i, by) => Problem::covers(q(i), dtd.cloned(), by.map(q)),
+        }
+    }
+}
+
+/// A direction of a Table 2 row with the paper's verdict and ours.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Claim {
+    /// The property decided.
+    pub direction: Direction,
+    /// Whether the paper reports that it holds.
+    pub paper: bool,
+    /// Whether it holds under standard XPath semantics, as this crate
+    /// decides it. Differs from `paper` only on the [`DIVERGENT`]
+    /// directions.
+    pub ours: bool,
+}
+
+/// The directions where our verdict differs from the paper's, each
+/// settled by a verified counterexample (README, "Where we differ from
+/// the paper"): row 3's `e6 ⊆ e5` and row 6's coverage.
+pub const DIVERGENT: [Direction; 2] = [
+    Direction::Contains(6, 5),
+    Direction::Covers(9, [10, 11, 12]),
+];
+
+impl Table2Row {
+    /// Every direction the row decides, in the order of its description:
+    /// both directions of a containment row, the one property otherwise.
+    pub fn claims(&self) -> Vec<Claim> {
+        let claim = |direction, paper| Claim {
+            direction,
+            paper,
+            ours: paper != DIVERGENT.contains(&direction),
+        };
+        match self.problem {
+            Table2Problem::ContainmentAsymmetric { lhs, rhs } => vec![
+                claim(Direction::Contains(lhs, rhs), true),
+                claim(Direction::Contains(rhs, lhs), false),
+            ],
+            Table2Problem::ContainmentBoth { lhs, rhs } => vec![
+                claim(Direction::Contains(lhs, rhs), true),
+                claim(Direction::Contains(rhs, lhs), true),
+            ],
+            Table2Problem::Satisfiable { query } => vec![claim(Direction::Sat(query), true)],
+            Table2Problem::Coverage { covered, covering } => {
+                vec![claim(Direction::Covers(covered, covering), true)]
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,5 +245,21 @@ mod tests {
         assert_eq!(rows[3].type_used, TypeUsed::Smil);
         assert!(rows[3].type_used.dtd().is_some());
         assert!(rows[0].type_used.dtd().is_none());
+    }
+
+    #[test]
+    fn claims_cover_both_directions_and_name_every_divergence() {
+        let claims: Vec<Vec<Claim>> = table2().iter().map(Table2Row::claims).collect();
+        let counts: Vec<usize> = claims.iter().map(Vec::len).collect();
+        assert_eq!(counts, [2, 2, 2, 1, 1, 1]);
+        let divergent: Vec<Direction> = claims
+            .iter()
+            .flatten()
+            .filter(|c| c.ours != c.paper)
+            .map(|c| c.direction)
+            .collect();
+        assert_eq!(divergent, DIVERGENT);
+        assert_eq!(claims[2][0].direction.label(), "e6 ⊆ e5");
+        assert_eq!(claims[5][0].direction.label(), "e9 ⊆ e10 ∪ e11 ∪ e12");
     }
 }

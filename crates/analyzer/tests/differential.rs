@@ -1,8 +1,8 @@
-//! Randomized differential testing of the four user-facing backends.
+//! Randomized differential testing of the three solver backends.
 //!
 //! Every generated decision problem — random small DTDs, random XPath
 //! queries, every operation of the [`Problem`] algebra — is posed to the
-//! `symbolic`, `explicit`, `witnessed` and `portfolio` backends, and their
+//! `symbolic`, `explicit` and `witnessed` backends, and their
 //! verdicts must agree wherever they decide (an enumerating backend may
 //! answer `unknown` on an oversized lean; that is a budget, not a
 //! disagreement).
@@ -113,14 +113,6 @@ fn problem() -> impl Strategy<Value = Problem> {
     )
 }
 
-/// All four user-facing backends of the differential panel.
-const BACKENDS: [BackendChoice; 4] = [
-    BackendChoice::Symbolic,
-    BackendChoice::Explicit,
-    BackendChoice::Witnessed,
-    BackendChoice::Portfolio,
-];
-
 /// A tight-but-honest budget: the panel must stay fast across hundreds of
 /// cases, and an exhausted budget is a skip, not a failure — agreement is
 /// only required among the backends that decide.
@@ -213,6 +205,15 @@ fn run_backend(p: &Problem, backend: BackendChoice) -> Result<Option<bool>, Stri
     az.set_backend(backend);
     match az.solve(p, &limits()) {
         Ok(a) => {
+            // A refuted property always ships its counterexample. `sat`
+            // and `overlap` are the exceptions: their `fails` means the
+            // goal is unsatisfiable, so no witness document exists.
+            let refutable = !matches!(p, Problem::Sat { .. } | Problem::Overlap { .. });
+            if refutable && !a.holds && a.counter_example.is_none() {
+                return Err(format!(
+                    "{backend}: refuted without a counterexample\n  problem: {p:?}"
+                ));
+            }
             if let Some(m) = &a.counter_example {
                 if let Err(msg) = xpath_oracle(p, a.holds, m) {
                     return Err(format!(
@@ -235,7 +236,7 @@ fn run_backend(p: &Problem, backend: BackendChoice) -> Result<Option<bool>, Stri
         }
         // An exhausted budget is a skip for this backend only.
         Err(SolveError::ResourceExhausted { .. }) => Ok(None),
-        // Disagreements and oracle-rejected witnesses are bugs.
+        // Oracle-rejected witnesses are bugs.
         Err(e) => Err(format!("{backend}: solver error {e}\n  problem: {p:?}")),
     }
 }
@@ -243,17 +244,17 @@ fn run_backend(p: &Problem, backend: BackendChoice) -> Result<Option<bool>, Stri
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The panel: all four backends agree on every decided verdict, and
+    /// The panel: all three backends agree on every decided verdict, and
     /// every witness passes the independent XPath and DTD oracles. The
     /// backends run concurrently — each on its own [`Analyzer`] — so a
-    /// case costs the slowest backend, not the sum of all four.
+    /// case costs the slowest backend, not the sum of all three.
     #[test]
     fn backends_agree_and_witnesses_check_out(p in problem()) {
         let outcomes: Vec<(BackendChoice, Result<Option<bool>, String>)> =
             std::thread::scope(|scope| {
-                let handles: Vec<_> = BACKENDS
-                    .iter()
-                    .map(|&backend| {
+                let handles: Vec<_> = BackendChoice::ALL
+                    .into_iter()
+                    .map(|backend| {
                         let p = &p;
                         (backend, scope.spawn(move || run_backend(p, backend)))
                     })

@@ -148,11 +148,12 @@ pub struct Bdd {
     peak: usize,
     /// Budget on live arena nodes, checked at allocation (`mk_raw`).
     node_budget: Option<usize>,
-    /// Sticky: an allocation pushed the arena past `node_budget`. The
-    /// solver polls this between operations; it stays set (even across a
-    /// node-count-reducing GC) until the budget is re-armed or the manager
-    /// reset, so a run that crossed its budget reliably reports it.
-    budget_hit: bool,
+    /// Sticky: the arena size at the allocation that pushed it past
+    /// `node_budget`. The solver polls this between operations; it stays
+    /// set (even across a node-count-reducing GC) until the budget is
+    /// re-armed or the manager reset, so a run that crossed its budget
+    /// reliably reports it, with the count that crossed.
+    budget_hit: Option<usize>,
 }
 
 impl Default for Bdd {
@@ -178,7 +179,7 @@ impl Bdd {
             created: 0,
             peak: 1,
             node_budget: None,
-            budget_hit: false,
+            budget_hit: None,
         }
     }
 
@@ -196,7 +197,7 @@ impl Bdd {
         self.created = 0;
         self.peak = 1;
         self.node_budget = None;
-        self.budget_hit = false;
+        self.budget_hit = None;
     }
 
     /// Arms (or disarms, with `None`) the live-node budget. Allocation
@@ -206,19 +207,18 @@ impl Bdd {
     /// already-over-budget arena trips immediately.
     pub fn set_node_budget(&mut self, budget: Option<usize>) {
         self.node_budget = budget;
-        self.budget_hit = matches!(budget, Some(b) if self.nodes.len() > b);
+        self.budget_hit = Some(self.nodes.len()).filter(|&n| budget.is_some_and(|b| n > b));
     }
 
-    /// `Some((live_nodes, budget))` once an allocation has pushed the
-    /// arena past the armed budget — the solver's poll point for turning a
-    /// memory overrun into a typed `unknown` verdict instead of an
-    /// unbounded run.
+    /// `Some((nodes_at_crossing, budget))` once an allocation has pushed
+    /// the arena past the armed budget — the solver's poll point for
+    /// turning a memory overrun into a typed `unknown` verdict instead of
+    /// an unbounded run. The count is the arena size when the budget was
+    /// crossed, not when this is polled: a GC in between can shrink the
+    /// arena far below the budget.
     pub fn budget_exceeded(&self) -> Option<(usize, usize)> {
-        if self.budget_hit {
-            Some((self.nodes.len(), self.node_budget.unwrap_or(0)))
-        } else {
-            None
-        }
+        self.budget_hit
+            .map(|at_crossing| (at_crossing, self.node_budget.unwrap_or(0)))
     }
 
     /// The constant false function.
@@ -292,8 +292,8 @@ impl Bdd {
         self.created += 1;
         self.peak = self.peak.max(self.nodes.len());
         if let Some(budget) = self.node_budget {
-            if self.nodes.len() > budget {
-                self.budget_hit = true;
+            if self.nodes.len() > budget && self.budget_hit.is_none() {
+                self.budget_hit = Some(self.nodes.len());
             }
         }
         // Keep the load factor under 3/4; growth rehashes every arena row.
@@ -917,6 +917,26 @@ mod tests {
         assert!(m2.budget_exceeded().is_some());
         m2.reset();
         assert!(m2.budget_exceeded().is_none());
+    }
+
+    #[test]
+    fn budget_report_keeps_the_count_at_the_crossing_across_gc() {
+        let mut m = Bdd::new();
+        m.set_node_budget(Some(8));
+        let mut acc = m.one();
+        for v in 0..32 {
+            let x = m.var(v);
+            acc = m.and(acc, x);
+        }
+        let (crossed, budget) = m.budget_exceeded().expect("budget crossed");
+        // A GC keeping nothing but the terminal leaves the live arena far
+        // below the budget; the report still names the crossing.
+        let mut keep = m.one();
+        m.gc(&mut [&mut keep]);
+        assert!(m.node_count() < budget);
+        let (reported, _) = m.budget_exceeded().expect("sticky across gc");
+        assert_eq!(reported, crossed);
+        assert!(reported > budget, "{reported} vs {budget}");
     }
 
     #[test]

@@ -18,7 +18,8 @@ use analyzer::{Analyzer, BackendChoice};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-/// The Fig 18 family (same members as `backend_matrix`).
+/// The Fig 18 containment family, from a trivial member up to the
+/// figure's own pair.
 const FAMILY: &[(&str, &str, &str, bool)] = &[
     ("self", "child::a", "child::a", true),
     ("predicate", "child::a", "child::a[child::b]", false),

@@ -13,8 +13,8 @@
 //! it. Duplicate occurrences and problems already solved in previous
 //! batches (or by the sequential front end) are served from the cache and
 //! reported with `"cached":true`. `unknown` verdicts (exhausted budgets)
-//! and dual-mode cross-check failures become per-request responses and are
-//! **never** cached — a retry with bigger limits must re-solve.
+//! and solver-level failures (rejected witnesses) become per-request
+//! responses and are **never** cached — a retry with bigger limits must re-solve.
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
@@ -168,7 +168,7 @@ pub struct BatchStats {
     /// out before the solve could decide. Never cached.
     pub unknown: usize,
     /// Requests that failed: parse or resolution errors, plus solver-level
-    /// failures (dual-mode cross-check disagreements).
+    /// failures (witnesses the verification oracles rejected).
     pub errors: usize,
     /// Worker threads used.
     pub threads: usize,

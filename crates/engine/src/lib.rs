@@ -144,8 +144,7 @@ pub struct Engine {
     workers: Vec<Analyzer>,
     /// Verdict memo cache, keyed by the canonical problem *plus* the
     /// backend that answered it: a symbolic verdict must never be served
-    /// for an explicit-backend request, and dual-mode verdicts live under
-    /// their own key.
+    /// for an explicit-backend request.
     cache: Mutex<HashMap<Job, Verdict>>,
     counters: Counters,
     options: AnalyzerOptions,

@@ -12,8 +12,8 @@
 //! Running a job yields a [`RunOutcome`] with three shapes, mirroring the
 //! protocol's `status` field: a definite [`Verdict`] (`holds` / `fails`),
 //! an [`UnknownVerdict`] when a resource budget ran out (never cached — a
-//! retry with bigger limits must re-solve), or an error string (dual-mode
-//! disagreement or an oracle-rejected witness; never cached either).
+//! retry with bigger limits must re-solve), or an error string (an
+//! oracle-rejected witness; never cached either).
 //!
 //! Because the memo cache stores whole [`Verdict`]s, the attached
 //! [`CounterExample`] evidence survives cache hits for free: a repeated
@@ -170,8 +170,8 @@ pub enum RunOutcome {
     Verdict(Verdict),
     /// A budget ran out: `"status":"unknown"`, never cached.
     Unknown(UnknownVerdict),
-    /// A solver-level failure (dual-mode disagreement, or a witness the
-    /// verification oracles rejected): an error response, never cached.
+    /// A solver-level failure (a witness the verification oracles
+    /// rejected): an error response, never cached.
     Error(String),
 }
 
@@ -198,13 +198,10 @@ pub fn run_job(az: &mut Analyzer, job: &Job, limits: &Limits, rec: &Recorder) ->
     let started = Instant::now();
     az.set_backend(job.backend);
     let outcome = match az.solve_traced(&job.problem, limits, rec) {
-        Ok(analysis) => {
-            let analysis = rescue_witness(az, job, limits, analysis);
-            RunOutcome::Verdict(Verdict::from_analysis(
-                analysis,
-                duration_ms(started.elapsed()),
-            ))
-        }
+        Ok(analysis) => RunOutcome::Verdict(Verdict::from_analysis(
+            analysis,
+            duration_ms(started.elapsed()),
+        )),
         Err(e @ SolveError::ResourceExhausted { .. }) => {
             let x = e.exhausted().expect("exhausted variant");
             RunOutcome::Unknown(UnknownVerdict {
@@ -216,42 +213,10 @@ pub fn run_job(az: &mut Analyzer, job: &Job, limits: &Limits, rec: &Recorder) ->
                 wall_ms: duration_ms(started.elapsed()),
             })
         }
-        Err(e @ (SolveError::Disagreement { .. } | SolveError::WitnessInvalid { .. })) => {
-            RunOutcome::Error(e.to_string())
-        }
+        Err(e @ SolveError::WitnessInvalid { .. }) => RunOutcome::Error(e.to_string()),
     };
     record_metrics(job, &outcome, duration_ms(started.elapsed()));
     outcome
-}
-
-/// Re-solves on the witnessed backend when a refuting analysis carries no
-/// model, so `fails` verdicts of refutable operations always ship evidence
-/// when one is computable.
-///
-/// Every current backend reconstructs a model on satisfiable outcomes, so
-/// this is a defensive path; a rescue that itself fails (exhaustion, lean
-/// too large) is swallowed and the original verdict stands, witness-less.
-/// Satisfiability and overlap are excluded: their `fails` means the goal is
-/// *unsatisfiable*, so no witness document can exist.
-fn rescue_witness(az: &mut Analyzer, job: &Job, limits: &Limits, a: Analysis) -> Analysis {
-    let refutable = !matches!(job.problem, Problem::Sat { .. } | Problem::Overlap { .. });
-    if a.holds
-        || a.counter_example.is_some()
-        || !refutable
-        || job.backend == BackendChoice::Witnessed
-    {
-        return a;
-    }
-    az.set_backend(BackendChoice::Witnessed);
-    let rescued = az.solve_traced(&job.problem, limits, &Recorder::noop());
-    az.set_backend(job.backend);
-    match rescued {
-        Ok(r) if !r.holds && r.counter_example.is_some() => Analysis {
-            counter_example: r.counter_example,
-            ..a
-        },
-        _ => a,
-    }
 }
 
 /// The protocol status of an outcome, as the wire string.
@@ -280,21 +245,12 @@ fn record_metrics(job: &Job, outcome: &RunOutcome, wall_ms: f64) {
                 .inc();
         }
         RunOutcome::Verdict(v) => {
-            if let Some(peak) = peak_nodes(&v.stats.telemetry) {
-                m.gauge("xsat_bdd_peak_nodes", &[]).record_max(peak);
+            if let Some(c) = v.stats.telemetry.bdd_counters() {
+                m.gauge("xsat_bdd_peak_nodes", &[])
+                    .record_max(c.peak_nodes as u64);
             }
         }
         RunOutcome::Error(_) => {}
-    }
-}
-
-/// The BDD peak-node count of a solve, when a symbolic half ran.
-fn peak_nodes(t: &Telemetry) -> Option<u64> {
-    match t {
-        Telemetry::Symbolic { counters, .. } => Some(counters.peak_nodes as u64),
-        Telemetry::Dual { symbolic, .. } => peak_nodes(symbolic),
-        Telemetry::Portfolio { inner, .. } => peak_nodes(inner),
-        Telemetry::Explicit { .. } | Telemetry::Witnessed { .. } => None,
     }
 }
 
@@ -369,13 +325,9 @@ mod tests {
     }
 
     #[test]
-    fn run_on_reference_backends_and_dual() {
+    fn run_on_reference_backends() {
         let p = Problem::overlap(q("child::a"), None, q("child::*"), None);
-        for backend in [
-            BackendChoice::Explicit,
-            BackendChoice::Witnessed,
-            BackendChoice::Dual,
-        ] {
+        for backend in [BackendChoice::Explicit, BackendChoice::Witnessed] {
             let mut az = Analyzer::new();
             let out = run_job(
                 &mut az,

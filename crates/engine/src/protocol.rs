@@ -5,8 +5,7 @@
 //! pipelined clients can correlate. Decision ops reference queries and
 //! types by registered name, with inline XPath / DTD source accepted as a
 //! fallback (see [`Workspace`]), and may carry a `"backend"` field
-//! (`symbolic` | `explicit` | `witnessed` | `dual` | `portfolio`)
-//! selecting the solver
+//! (`symbolic` | `explicit` | `witnessed`) selecting the solver
 //! and a `"limits"` object overriding the engine's resource budgets
 //! per request (see [`LimitsSpec`]).
 //!
@@ -20,7 +19,7 @@
 //! {"op":"dtd","name":"d1","source":"<!ELEMENT a (b*)> <!ELEMENT b EMPTY>"}
 //! {"op":"query","name":"q1","xpath":"a/b"}
 //! {"op":"contains","lhs":"q1","rhs":"a/*","type":"d1"}
-//! {"op":"contains","lhs":"q1","rhs":"a/*","backend":"dual"}
+//! {"op":"contains","lhs":"q1","rhs":"a/*","backend":"explicit"}
 //! {"op":"sat","query":"q1","limits":{"timeout_ms":250,"max_bdd_nodes":200000}}
 //! {"op":"covers","query":"child::*","by":["child::a","child::*[not(self::a)]"]}
 //! {"op":"typecheck","query":"child::x","input":"din","output":"dout"}
@@ -870,29 +869,6 @@ pub fn telemetry_value(t: &Telemetry) -> Value {
             fields.push(("types", Value::from(*types)));
             fields.push(("proved", Value::from(*proved)));
         }
-        Telemetry::Dual {
-            symbolic,
-            explicit,
-            symbolic_iterations,
-            explicit_iterations,
-        } => {
-            fields.push(("symbolic_iterations", Value::from(*symbolic_iterations)));
-            fields.push(("explicit_iterations", Value::from(*explicit_iterations)));
-            fields.push(("symbolic", telemetry_value(symbolic)));
-            fields.push(("explicit", telemetry_value(explicit)));
-        }
-        Telemetry::Portfolio {
-            winner,
-            raced,
-            inner,
-        } => {
-            fields.push(("winner", Value::from(*winner)));
-            fields.push((
-                "raced",
-                Value::Arr(raced.iter().map(|b| Value::from(*b)).collect()),
-            ));
-            fields.push(("inner", telemetry_value(inner)));
-        }
     }
     obj(fields)
 }
@@ -1153,6 +1129,18 @@ mod tests {
         assert_eq!(limits, None);
         let e = Request::parse(r#"{"op":"sat","query":"a","backend":"frobnicate"}"#).unwrap_err();
         assert!(e.contains("unknown backend `frobnicate`"), "{e}");
+        // The removed multi-backend modes get the same typed rejection,
+        // never a silent fallback to symbolic.
+        for removed in ["dual", "portfolio"] {
+            let line = format!(r#"{{"op":"sat","query":"a","backend":"{removed}"}}"#);
+            let e = Request::parse(&line).unwrap_err();
+            assert!(
+                e.contains(&format!(
+                    "unknown backend `{removed}` (expected symbolic, explicit or witnessed)"
+                )),
+                "{e}"
+            );
+        }
         let e = Request::parse(r#"{"op":"sat","query":"a","backend":7}"#).unwrap_err();
         assert!(e.contains("`backend` must be a string"), "{e}");
     }
@@ -1199,69 +1187,39 @@ mod tests {
 
     #[test]
     fn telemetry_serializes_tagged() {
-        let t = Telemetry::Dual {
-            symbolic: Box::new(Telemetry::Symbolic {
-                bdd_nodes: 3,
-                counters: analyzer::BddCounters {
-                    peak_nodes: 5,
-                    created_nodes: 6,
-                    table_capacity: 1024,
-                    cache_hits: 3,
-                    cache_lookups: 4,
-                },
-            }),
-            explicit: Box::new(Telemetry::Explicit { types: 9 }),
-            symbolic_iterations: 4,
-            explicit_iterations: 7,
+        let t = Telemetry::Symbolic {
+            bdd_nodes: 3,
+            counters: analyzer::BddCounters {
+                peak_nodes: 5,
+                created_nodes: 6,
+                table_capacity: 1024,
+                cache_hits: 3,
+                cache_lookups: 4,
+            },
         };
         let v = telemetry_value(&t);
-        assert_eq!(v.get("backend").and_then(Value::as_str), Some("dual"));
+        assert_eq!(v.get("backend").and_then(Value::as_str), Some("symbolic"));
+        assert_eq!(v.get("bdd_nodes").and_then(Value::as_f64), Some(3.0));
+        assert_eq!(v.get("peak_nodes").and_then(Value::as_f64), Some(5.0));
+        assert_eq!(v.get("created_nodes").and_then(Value::as_f64), Some(6.0));
         assert_eq!(
-            v.get("symbolic_iterations").and_then(Value::as_f64),
-            Some(4.0)
-        );
-        assert_eq!(
-            v.get("explicit_iterations").and_then(Value::as_f64),
-            Some(7.0)
-        );
-        let sym = v.get("symbolic").unwrap();
-        assert_eq!(sym.get("bdd_nodes").and_then(Value::as_f64), Some(3.0));
-        assert_eq!(sym.get("peak_nodes").and_then(Value::as_f64), Some(5.0));
-        assert_eq!(sym.get("created_nodes").and_then(Value::as_f64), Some(6.0));
-        assert_eq!(
-            sym.get("table_capacity").and_then(Value::as_f64),
+            v.get("table_capacity").and_then(Value::as_f64),
             Some(1024.0)
         );
-        assert_eq!(sym.get("load_factor").and_then(Value::as_f64), Some(0.005));
-        assert_eq!(
-            sym.get("cache_hit_rate").and_then(Value::as_f64),
-            Some(0.75)
-        );
-        let exp = v.get("explicit").unwrap();
-        assert_eq!(exp.get("types").and_then(Value::as_f64), Some(9.0));
+        assert_eq!(v.get("load_factor").and_then(Value::as_f64), Some(0.005));
+        assert_eq!(v.get("cache_hit_rate").and_then(Value::as_f64), Some(0.75));
 
-        let p = Telemetry::Portfolio {
-            winner: "symbolic",
-            raced: vec!["symbolic", "explicit"],
-            inner: Box::new(Telemetry::Explicit { types: 9 }),
-        };
-        let v = telemetry_value(&p);
-        assert_eq!(v.get("backend").and_then(Value::as_str), Some("portfolio"));
-        assert_eq!(v.get("winner").and_then(Value::as_str), Some("symbolic"));
-        let raced = match v.get("raced").unwrap() {
-            Value::Arr(xs) => xs
-                .iter()
-                .map(|x| x.as_str().unwrap().to_owned())
-                .collect::<Vec<_>>(),
-            other => panic!("raced serialized as {other:?}"),
-        };
-        assert_eq!(raced, ["symbolic", "explicit"]);
-        let inner = v.get("inner").unwrap();
-        assert_eq!(
-            inner.get("backend").and_then(Value::as_str),
-            Some("explicit")
-        );
-        assert_eq!(inner.get("types").and_then(Value::as_f64), Some(9.0));
+        let v = telemetry_value(&Telemetry::Explicit { types: 9 });
+        assert_eq!(v.get("backend").and_then(Value::as_str), Some("explicit"));
+        assert_eq!(v.get("types").and_then(Value::as_f64), Some(9.0));
+
+        let v = telemetry_value(&Telemetry::Witnessed {
+            types: 9,
+            proved: 4,
+            witness: None,
+        });
+        assert_eq!(v.get("backend").and_then(Value::as_str), Some("witnessed"));
+        assert_eq!(v.get("proved").and_then(Value::as_f64), Some(4.0));
     }
 
     #[test]

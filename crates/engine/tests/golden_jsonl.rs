@@ -110,10 +110,10 @@ const GOLDEN: &[(&str, &str)] = &[
         r#"{"id":17,"op":"sat","query":"child::a","backend":"explicit"}"#,
         r#"{"id":17,"ok":true,"op":"sat","backend":"explicit","status":"holds","holds":true,"counter_example":"<a s=\"1\"><a/></a>","cached":true}"#,
     ),
-    // The dual cross-check and witnessed backends, echoed per verdict.
+    // The backend is echoed per verdict.
     (
-        r#"{"id":18,"op":"overlap","lhs":"child::a","rhs":"child::*","backend":"dual"}"#,
-        r#"{"id":18,"ok":true,"op":"overlap","backend":"dual","status":"holds","holds":true,"counter_example":"<_other s=\"1\"><a/></_other>","cached":false}"#,
+        r#"{"id":18,"op":"overlap","lhs":"child::a","rhs":"child::*","backend":"symbolic"}"#,
+        r#"{"id":18,"ok":true,"op":"overlap","backend":"symbolic","status":"holds","holds":true,"counter_example":"<_other s=\"1\"><a/></_other>","cached":false}"#,
     ),
     (
         r#"{"id":19,"op":"empty","query":"child::a ∩ child::b","backend":"witnessed"}"#,
@@ -122,13 +122,12 @@ const GOLDEN: &[(&str, &str)] = &[
     // Unknown backend: rejected at parse time.
     (
         r#"{"id":20,"op":"sat","query":"child::a","backend":"quantum"}"#,
-        r#"{"ok":false,"status":"error","error":"unknown backend `quantum` (expected symbolic, explicit, witnessed, dual or portfolio)"}"#,
+        r#"{"ok":false,"status":"error","error":"unknown backend `quantum` (expected symbolic, explicit or witnessed)"}"#,
     ),
-    // Dual cross-check of a failing containment: both backends agree and
-    // the symbolic witness is reported.
+    // A failing containment reports the symbolic witness.
     (
-        r#"{"id":21,"op":"contains","lhs":"child::a","rhs":"child::a[child::b]","backend":"dual"}"#,
-        r#"{"id":21,"ok":true,"op":"contains","backend":"dual","status":"fails","holds":false,"counter_example":"<_other s=\"1\"><a/></_other>","counterexample":{"xml":"<_other s=\"1\"><a/></_other>","pretty":"<_other s=\"1\">\n  <a/>\n</_other>","size":2,"verified":true},"cached":false}"#,
+        r#"{"id":21,"op":"contains","lhs":"child::a","rhs":"child::a[child::b]","backend":"symbolic"}"#,
+        r#"{"id":21,"ok":true,"op":"contains","backend":"symbolic","status":"fails","holds":false,"counter_example":"<_other s=\"1\"><a/></_other>","counterexample":{"xml":"<_other s=\"1\"><a/></_other>","pretty":"<_other s=\"1\">\n  <a/>\n</_other>","size":2,"verified":true},"cached":false}"#,
     ),
     // Protocol v2 limits round-trip: a generous `limits` object changes
     // nothing about the verdict.
@@ -147,13 +146,12 @@ const GOLDEN: &[(&str, &str)] = &[
         r#"{"id":24,"op":"containment","lhs":"q1","rhs":"q2","type":"d1"}"#,
         r#"{"id":24,"ok":true,"op":"contains","backend":"symbolic","status":"holds","holds":true,"counter_example":null,"cached":true}"#,
     ),
-    // The portfolio race answers deterministically on a verdict with no
-    // counter-example (whichever racer wins, `holds` and the null witness
-    // agree), and is cached under its own backend key (id 19 solved the
-    // same problem on the witnessed backend — a distinct job).
+    // An explicit `symbolic` shares the default backend's cache key: id 10
+    // solved this problem on symbolic (id 19's witnessed run is a distinct
+    // job), so this is a hit.
     (
-        r#"{"id":25,"op":"empty","query":"child::a ∩ child::b","backend":"portfolio"}"#,
-        r#"{"id":25,"ok":true,"op":"empty","backend":"portfolio","status":"holds","holds":true,"counter_example":null,"cached":false}"#,
+        r#"{"id":25,"op":"empty","query":"child::a ∩ child::b","backend":"symbolic"}"#,
+        r#"{"id":25,"ok":true,"op":"empty","backend":"symbolic","status":"holds","holds":true,"counter_example":null,"cached":true}"#,
     ),
     // Cache-hit repeat of the Fig 18 failure (id 3): the memo cache stores
     // whole verdicts, so the verified counterexample object survives the
@@ -161,6 +159,13 @@ const GOLDEN: &[(&str, &str)] = &[
     (
         r#"{"id":26,"op":"contains","lhs":"child::c/preceding-sibling::a[child::b]","rhs":"child::c[child::b]"}"#,
         r#"{"id":26,"ok":true,"op":"contains","backend":"symbolic","status":"fails","holds":false,"counter_example":"<_other s=\"1\"><a><b/></a><c/></_other>","counterexample":{"xml":"<_other s=\"1\"><a><b/></a><c/></_other>","pretty":"<_other s=\"1\">\n  <a>\n    <b/>\n  </a>\n  <c/>\n</_other>","size":4,"verified":true},"cached":true}"#,
+    ),
+    // The removed multi-backend modes get the typed unknown-backend error,
+    // not a silent alias to symbolic that would drop the cross-check the
+    // client asked for.
+    (
+        r#"{"id":27,"op":"sat","query":"child::a","backend":"dual"}"#,
+        r#"{"ok":false,"status":"error","error":"unknown backend `dual` (expected symbolic, explicit or witnessed)"}"#,
     ),
 ];
 
@@ -210,16 +215,17 @@ fn batch_matches_golden_stream() {
         );
     }
     // 24 decision problems were posed; ids 4, 5 and 24 repeat id 1's
-    // problem, id 17 repeats id 15's (problem, backend) job, and id 26
-    // repeats id 3's failing containment. Ids 16, 21 and 25 repeat
-    // *problems* under different backends, which are distinct jobs; id 23
-    // exhausts its iteration cap and is counted as `unknown`, not an
-    // error.
+    // problem, id 17 repeats id 15's (problem, backend) job, id 25 repeats
+    // id 10's and id 26 repeats id 3's failing containment. Id 16 repeats
+    // a *problem* under a different backend, which is a distinct job; id
+    // 23 exhausts its iteration cap and is counted as `unknown`, not an
+    // error. Id 14, the `frobnicate` op and ids 20 and 27 are errors
+    // before any solve.
     assert_eq!(outcome.stats.problems, 24);
-    assert_eq!(outcome.stats.unique_problems, 19);
-    assert_eq!(outcome.stats.cache_hits, 5);
+    assert_eq!(outcome.stats.unique_problems, 18);
+    assert_eq!(outcome.stats.cache_hits, 6);
     assert_eq!(outcome.stats.unknown, 1);
-    assert_eq!(outcome.stats.errors, 3);
+    assert_eq!(outcome.stats.errors, 4);
 
     // Full round-trip: every response line re-parses to the same value.
     for got in &outcome.responses {
@@ -382,8 +388,8 @@ fn counterexample_field_shape_across_backends_and_cache() {
             r#"{{"id":"{id}","op":"contains","lhs":"child::c/preceding-sibling::a[child::b]","rhs":"child::c[child::b]","backend":"{backend}"}}"#
         )
     };
-    // Present on witnessed and portfolio `fails` verdicts…
-    for backend in ["symbolic", "explicit", "witnessed", "dual", "portfolio"] {
+    // Present on every backend's `fails` verdicts…
+    for backend in ["symbolic", "explicit", "witnessed"] {
         let r = e.execute_line(&fig18(backend, backend));
         assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
         assert_counterexample_shape(&r);
@@ -432,16 +438,6 @@ fn telemetry_payload_is_typed_per_backend() {
         ("symbolic", SYMBOLIC_TELEMETRY_KEYS.to_vec()),
         ("explicit", vec!["types"]),
         ("witnessed", vec!["types", "proved"]),
-        (
-            "dual",
-            vec![
-                "symbolic",
-                "explicit",
-                "symbolic_iterations",
-                "explicit_iterations",
-            ],
-        ),
-        ("portfolio", vec!["winner", "raced", "inner"]),
     ];
     for (backend, keys) in cases {
         let r = e.execute_line(&format!(
@@ -469,96 +465,19 @@ fn telemetry_payload_is_typed_per_backend() {
             );
         }
     }
-    // The dual payload nests full per-side telemetry, the symbolic side
-    // carrying the complete extended BDD schema.
-    let r =
-        e.execute_line(r#"{"op":"overlap","lhs":"child::a","rhs":"child::b","backend":"dual"}"#);
-    let telemetry = r.get("stats").and_then(|s| s.get("telemetry")).unwrap();
-    let sym = telemetry.get("symbolic").expect("symbolic side");
-    let exp = telemetry.get("explicit").expect("explicit side");
-    assert!(sym.get("bdd_nodes").and_then(Value::as_f64).unwrap() > 0.0);
-    for key in SYMBOLIC_TELEMETRY_KEYS {
-        assert!(
-            sym.get(key).is_some(),
-            "dual symbolic side: missing `{key}` in {}",
-            sym.to_json()
-        );
-    }
-    assert!(exp.get("types").and_then(Value::as_f64).unwrap() > 0.0);
-    // The portfolio payload names a winner that actually raced and nests
-    // the winner's own telemetry.
-    let r = e.execute_line(
-        r#"{"op":"overlap","lhs":"child::a","rhs":"child::c","backend":"portfolio"}"#,
-    );
-    let telemetry = r.get("stats").and_then(|s| s.get("telemetry")).unwrap();
-    let winner = telemetry.get("winner").and_then(Value::as_str).unwrap();
-    let raced: Vec<&str> = telemetry
-        .get("raced")
-        .and_then(Value::as_arr)
-        .unwrap()
-        .iter()
-        .map(|b| b.as_str().unwrap())
-        .collect();
-    assert!(raced.contains(&winner), "{winner} not in {raced:?}");
-    assert!(raced.contains(&"symbolic"), "symbolic always races");
-    let inner = telemetry.get("inner").expect("winner telemetry");
-    assert_eq!(inner.get("backend").and_then(Value::as_str), Some(winner));
 }
 
 #[test]
-fn racing_verdicts_cache_only_when_a_backend_completes() {
+fn merged_telemetry_golden_extended_schema() {
+    // An `equiv` solves two containments, so the verdict's telemetry is
+    // the *merge* of two symbolic runs, with the BDD counter fields
+    // summed/maxed.
     let mut e = Engine::new();
-    // A starved race: every racer exhausts the shared iteration cap, so
-    // the portfolio reports `unknown` — which must never be memoized (a
-    // cancelled or exhausted race is not a verdict).
-    let starved =
-        r#"{"op":"sat","query":"a/b[c]","backend":"portfolio","limits":{"max_iterations":1}}"#;
-    for _ in 0..2 {
-        let r = e.execute_line(starved);
-        assert_eq!(r.get("status").and_then(Value::as_str), Some("unknown"));
-        assert_eq!(
-            r.get("resource").and_then(Value::as_str),
-            Some("iterations")
-        );
-        assert_eq!(r.get("cached").and_then(Value::as_bool), Some(false));
-        assert_eq!(e.cache_entries(), 0);
-    }
-    // A completed race is a definite verdict and memoizes under the
-    // portfolio cache key…
-    let r = e.execute_line(r#"{"op":"sat","query":"a/b[c]","backend":"portfolio"}"#);
-    assert_eq!(r.get("status").and_then(Value::as_str), Some("holds"));
-    assert_eq!(r.get("backend").and_then(Value::as_str), Some("portfolio"));
-    assert_eq!(r.get("cached").and_then(Value::as_bool), Some(false));
-    assert_eq!(e.cache_entries(), 1);
-    // …after which even the starved request is served from the cache: a
-    // definite verdict answers any budget without racing again.
-    let r = e.execute_line(starved);
-    assert_eq!(r.get("status").and_then(Value::as_str), Some("holds"));
-    assert_eq!(r.get("cached").and_then(Value::as_bool), Some(true));
-    // The portfolio key is its own: the same problem on the default
-    // symbolic backend re-solves instead of hitting the race's entry.
-    let r = e.execute_line(r#"{"op":"sat","query":"a/b[c]"}"#);
-    assert_eq!(r.get("cached").and_then(Value::as_bool), Some(false));
-    assert_eq!(e.cache_entries(), 2);
-}
-
-#[test]
-fn dual_telemetry_golden_extended_schema() {
-    // Golden dual-mode exchange under the extended telemetry schema: an
-    // `equiv` solves two containments, so the verdict's telemetry is the
-    // *merge* of two dual runs — the case `Telemetry::merge` must be
-    // total over, with the new BDD counter fields summed/maxed and both
-    // nested sides intact.
-    let mut e = Engine::new();
-    let r = e.execute_line(
-        r#"{"id":"dual-eq","op":"equiv","lhs":"a/b[c]","rhs":"a/b[c]","backend":"dual"}"#,
-    );
+    let r = e.execute_line(r#"{"id":"eq","op":"equiv","lhs":"a/b[c]","rhs":"a/b[c]"}"#);
     assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
-    assert_eq!(r.get("backend").and_then(Value::as_str), Some("dual"));
+    assert_eq!(r.get("backend").and_then(Value::as_str), Some("symbolic"));
     assert_eq!(r.get("holds").and_then(Value::as_bool), Some(true));
-    let t = r.get("stats").and_then(|s| s.get("telemetry")).unwrap();
-    assert_eq!(t.get("backend").and_then(Value::as_str), Some("dual"));
-    let sym = t.get("symbolic").expect("nested symbolic telemetry");
+    let sym = r.get("stats").and_then(|s| s.get("telemetry")).unwrap();
     assert_eq!(sym.get("backend").and_then(Value::as_str), Some("symbolic"));
     for key in SYMBOLIC_TELEMETRY_KEYS {
         assert!(
@@ -575,10 +494,7 @@ fn dual_telemetry_golden_extended_schema() {
     assert!(pick("peak_nodes") <= pick("created_nodes") + 2.0);
     let rate = pick("cache_hit_rate");
     assert!((0.0..=1.0).contains(&rate), "{rate}");
-    let exp = t.get("explicit").expect("nested explicit telemetry");
-    assert_eq!(exp.get("backend").and_then(Value::as_str), Some("explicit"));
     assert!(pick("cache_lookups") > 0.0);
-    assert!(exp.get("types").and_then(Value::as_f64).unwrap() > 0.0);
 }
 
 #[test]
@@ -590,10 +506,10 @@ fn oversized_lean_is_unknown_and_never_cached() {
     // memoized), while the same problem on the symbolic backend solves
     // fine.
     let mut e = Engine::new();
-    let dual = r#"{"op":"contains","lhs":"a/b//d[prec-sibling::c]/e","rhs":"a/b//c/foll-sibling::d/e","backend":"dual"}"#;
-    for backend in ["dual", "explicit", "witnessed"] {
-        let line = dual.replace(
-            "\"backend\":\"dual\"",
+    let explicit = r#"{"op":"contains","lhs":"a/b//d[prec-sibling::c]/e","rhs":"a/b//c/foll-sibling::d/e","backend":"explicit"}"#;
+    for backend in ["explicit", "witnessed"] {
+        let line = explicit.replace(
+            "\"backend\":\"explicit\"",
             &format!("\"backend\":\"{backend}\""),
         );
         for _ in 0..2 {
@@ -621,7 +537,7 @@ fn oversized_lean_is_unknown_and_never_cached() {
         }
     }
     assert_eq!(e.cache_entries(), 0);
-    assert_eq!(e.counters().unknown, 6);
+    assert_eq!(e.counters().unknown, 4);
     let r = e.execute_line(
         r#"{"op":"contains","lhs":"a/b//d[prec-sibling::c]/e","rhs":"a/b//c/foll-sibling::d/e"}"#,
     );
@@ -630,8 +546,8 @@ fn oversized_lean_is_unknown_and_never_cached() {
     // The unknown also surfaces per-request on the batch path without
     // derailing the rest of the batch, counted separately from errors.
     let out = e.run_batch(&[
-        Request::parse(dual).unwrap(),
-        Request::parse(r#"{"op":"sat","query":"child::a","backend":"dual"}"#).unwrap(),
+        Request::parse(explicit).unwrap(),
+        Request::parse(r#"{"op":"sat","query":"child::a","backend":"explicit"}"#).unwrap(),
     ]);
     assert_eq!(out.stats.problems, 2);
     assert_eq!(out.stats.errors, 0);
@@ -698,9 +614,12 @@ fn cache_is_keyed_by_backend() {
     let exp = e.execute_line(r#"{"op":"sat","query":"child::a","backend":"explicit"}"#);
     assert_eq!(exp.get("cached").and_then(Value::as_bool), Some(false));
     assert_eq!(e.cache_entries(), 2);
-    // Dual results land under their own key too.
-    let dual = e.execute_line(r#"{"op":"sat","query":"child::a","backend":"dual"}"#);
-    assert_eq!(dual.get("cached").and_then(Value::as_bool), Some(false));
+    // Witnessed results land under their own key too.
+    let witnessed = e.execute_line(r#"{"op":"sat","query":"child::a","backend":"witnessed"}"#);
+    assert_eq!(
+        witnessed.get("cached").and_then(Value::as_bool),
+        Some(false)
+    );
     assert_eq!(e.cache_entries(), 3);
     // And each backend now hits its own entry.
     for (line, backend) in [
@@ -710,8 +629,8 @@ fn cache_is_keyed_by_backend() {
             "explicit",
         ),
         (
-            r#"{"op":"sat","query":"child::a","backend":"dual"}"#,
-            "dual",
+            r#"{"op":"sat","query":"child::a","backend":"witnessed"}"#,
+            "witnessed",
         ),
     ] {
         let r = e.execute_line(line);

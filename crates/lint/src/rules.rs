@@ -190,7 +190,7 @@ pub enum ProbeOutcome {
         /// Human-readable exhaustion report.
         reason: String,
     },
-    /// The solve failed (cross-check disagreement, rejected witness).
+    /// The solve failed (rejected witness).
     Error {
         /// The error message.
         reason: String,

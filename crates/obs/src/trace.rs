@@ -108,8 +108,8 @@ impl Event {
 }
 
 /// Receiver of trace events. Implementations must tolerate concurrent
-/// `record` calls (the dual backend runs two solver threads under one
-/// recorder).
+/// `record` calls (one sink may serve recorders on several worker
+/// threads).
 pub trait Sink: Send + Sync + fmt::Debug {
     /// Consume one event.
     fn record(&self, event: &Event);
@@ -126,8 +126,8 @@ struct Inner {
 /// Handle for emitting trace events.
 ///
 /// Cloning is cheap (an `Arc` bump); clones share the solve id, clock and
-/// sequence counter, so a recorder can be handed across threads (the dual
-/// backend does). The disabled recorder ([`Recorder::noop`]) reduces every
+/// sequence counter, so a recorder can be handed across threads. The
+/// disabled recorder ([`Recorder::noop`]) reduces every
 /// call to one `Option` check.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {

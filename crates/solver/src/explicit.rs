@@ -377,11 +377,11 @@ pub fn solve_explicit(lg: &mut Logic, goal: Formula) -> Solved {
 }
 
 /// Runs the explicit backend on an already-preprocessed goal under the
-/// caller's limits (the dual cross-check prepares once to bound-check the
-/// lean first). The type enumeration is charged against the wall-clock
+/// caller's limits (the dispatcher prepares once to bound-check the lean
+/// first). The type enumeration is charged against the wall-clock
 /// deadline — the driver only gets what construction left over — and the
-/// construction itself polls the limits, so a cancelled portfolio racer
-/// aborts instead of finishing a build nobody will read.
+/// construction itself polls the limits, so a cancelled run aborts
+/// instead of finishing a build nobody will read.
 pub(crate) fn solve_prepared(
     lg: &mut Logic,
     prep: Prepared,

@@ -17,12 +17,7 @@
 //!
 //! [`BackendChoice`] is the end-to-end selection type threaded from the
 //! `xsat --backend` flag through the engine protocol and the analyzer down
-//! to [`solve_with`], including the [`BackendChoice::Dual`] cross-check
-//! mode that runs the symbolic and explicit backends concurrently and
-//! reports any verdict disagreement as an error, and the
-//! [`BackendChoice::Portfolio`] mode that races every feasible backend
-//! under one shared deadline with cooperative cancellation and returns
-//! the first verdict (see the `portfolio` module).
+//! to [`solve_with`].
 
 use std::fmt;
 use std::str::FromStr;
@@ -210,9 +205,9 @@ pub fn run_fixpoint_traced<B: Backend>(
                 return Err(e.into());
             }
         }
-        // Cooperative cancellation, polled alongside the deadline: when a
-        // portfolio sibling already won the race, abort before the next
-        // `Upd` step instead of computing sets nobody will read.
+        // Cooperative cancellation, polled alongside the deadline: when the
+        // caller gave up on the answer (a draining server), abort before
+        // the next `Upd` step instead of computing sets nobody will read.
         if limits.cancel.is_cancelled() {
             let e = Exhausted::cancelled(t0.elapsed());
             limit_event(rec, &e);
@@ -296,25 +291,14 @@ pub enum BackendChoice {
     Explicit,
     /// The literal Fig 16 algorithm with explicit witness sets.
     Witnessed,
-    /// Cross-check: run [`Symbolic`](BackendChoice::Symbolic) and
-    /// [`Explicit`](BackendChoice::Explicit) concurrently and fail loudly
-    /// on any verdict disagreement. The recommended CI configuration.
-    Dual,
-    /// Race every feasible backend on worker threads under one shared
-    /// deadline with cooperative cancellation; the first verdict wins and
-    /// cancels the rest. Latency tracks the fastest backend instead of a
-    /// fixed choice.
-    Portfolio,
 }
 
 impl BackendChoice {
     /// Every choice, in protocol order.
-    pub const ALL: [BackendChoice; 5] = [
+    pub const ALL: [BackendChoice; 3] = [
         BackendChoice::Symbolic,
         BackendChoice::Explicit,
         BackendChoice::Witnessed,
-        BackendChoice::Dual,
-        BackendChoice::Portfolio,
     ];
 
     /// The protocol/CLI name of the choice.
@@ -323,8 +307,6 @@ impl BackendChoice {
             BackendChoice::Symbolic => "symbolic",
             BackendChoice::Explicit => "explicit",
             BackendChoice::Witnessed => "witnessed",
-            BackendChoice::Dual => "dual",
-            BackendChoice::Portfolio => "portfolio",
         }
     }
 }
@@ -343,22 +325,17 @@ impl FromStr for BackendChoice {
             .into_iter()
             .find(|b| b.as_str() == s)
             .ok_or_else(|| {
-                format!(
-                    "unknown backend `{s}` (expected symbolic, explicit, witnessed, dual or portfolio)"
-                )
+                format!("unknown backend `{s}` (expected symbolic, explicit or witnessed)")
             })
     }
 }
 
 /// Why a solve could not produce a verdict.
 ///
-/// Three very different situations share this type, and callers are
+/// Two very different situations share this type, and callers are
 /// expected to treat them differently:
 ///
-/// * [`Disagreement`](SolveError::Disagreement) is a solver bug — the dual
-///   cross-check caught the backends contradicting each other. Fail
-///   loudly.
-/// * [`WitnessInvalid`](SolveError::WitnessInvalid) is also a solver bug:
+/// * [`WitnessInvalid`](SolveError::WitnessInvalid) is a solver bug:
 ///   a reconstructed model failed the semantic oracle
 ///   (`mulogic::model_check`) or DTD re-validation. A wrong witness must
 ///   never be served as a silent `fails` verdict.
@@ -369,20 +346,9 @@ impl FromStr for BackendChoice {
 ///   it, so a retry with bigger limits re-solves.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SolveError {
-    /// The two cross-checked backends returned different verdicts — a
-    /// solver bug, worth a loud failure.
-    Disagreement {
-        /// The symbolic backend's satisfiability verdict.
-        symbolic_sat: bool,
-        /// The explicit backend's satisfiability verdict.
-        explicit_sat: bool,
-        /// Display form of the goal formula.
-        formula: String,
-    },
     /// A reconstructed witness failed its independent re-check: the
     /// model-checking oracle rejected it against the goal formula, or the
-    /// document is invalid against its governing DTD. Like
-    /// [`Disagreement`](SolveError::Disagreement), this is a solver bug
+    /// document is invalid against its governing DTD. This is a solver bug
     /// surfaced loudly instead of an unsound verdict.
     WitnessInvalid {
         /// Display form of the goal formula the witness was checked
@@ -409,10 +375,6 @@ pub enum SolveError {
     },
 }
 
-/// The pre-resource-governance name of [`SolveError`], kept for downstream
-/// code written against the v1 API.
-pub type CrossCheckError = SolveError;
-
 impl SolveError {
     /// The exhaustion report, when this is a budget hit.
     pub fn exhausted(&self) -> Option<Exhausted> {
@@ -426,7 +388,7 @@ impl SolveError {
                 spent,
                 limit,
             }),
-            SolveError::Disagreement { .. } | SolveError::WitnessInvalid { .. } => None,
+            SolveError::WitnessInvalid { .. } => None,
         }
     }
 }
@@ -444,16 +406,6 @@ impl From<Exhausted> for SolveError {
 impl fmt::Display for SolveError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SolveError::Disagreement {
-                symbolic_sat,
-                explicit_sat,
-                formula,
-            } => write!(
-                f,
-                "backend disagreement on `{formula}`: symbolic says {}, explicit says {}",
-                verdict_name(*symbolic_sat),
-                verdict_name(*explicit_sat)
-            ),
             SolveError::WitnessInvalid {
                 formula,
                 reason,
@@ -471,14 +423,6 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
-fn verdict_name(sat: bool) -> &'static str {
-    if sat {
-        "satisfiable"
-    } else {
-        "unsatisfiable"
-    }
-}
-
 /// Decides satisfiability on the chosen backend under the given limits.
 ///
 /// The symbolic backend exhausts only when a deadline, node budget or
@@ -487,10 +431,6 @@ fn verdict_name(sat: bool) -> &'static str {
 /// of panicking like their direct `solve_*` wrappers — when the lean
 /// exceeds [`Limits::max_lean_diamonds`], so a service front end can turn
 /// an oversized request into an `unknown` verdict.
-/// [`BackendChoice::Dual`] runs the symbolic solver on this thread and the
-/// explicit solver concurrently on a clone of the arena (both governed by
-/// the same limits), errors when the two verdicts differ, and otherwise
-/// returns the symbolic model with combined telemetry.
 pub fn solve_with(
     lg: &mut Logic,
     goal: Formula,
@@ -504,7 +444,7 @@ pub fn solve_with(
 
 /// [`solve_with`] inside a caller-owned BDD manager.
 ///
-/// The symbolic backend (and the symbolic half of dual mode) runs in
+/// The symbolic backend runs in
 /// `mgr`, which is reset — not reallocated — per problem (see
 /// [`solve_symbolic_in`](crate::solve_symbolic_in)); the enumerating
 /// backends ignore it. Long-lived workers hold one manager and thread it
@@ -540,47 +480,36 @@ pub fn solve_with_traced(
                 let _span = rec.span("lean");
                 Prepared::new(lg, goal)
             };
-            feasible_traced(prep.lean.diam_entries().count(), limits, rec)?;
+            enumeration_feasible(prep.lean.diam_entries().count(), limits, rec)?;
             crate::explicit::solve_prepared(lg, prep, limits, rec)
         }
         BackendChoice::Witnessed => {
-            feasible_traced(crate::witnessed::lean_diamonds(lg, goal), limits, rec)?;
+            enumeration_feasible(crate::witnessed::lean_diamonds(lg, goal), limits, rec)?;
             crate::witnessed::solve_witnessed_bounded(lg, goal, limits, rec)
-        }
-        BackendChoice::Dual => crate::portfolio::solve_dual(lg, goal, opts, mgr, limits, rec),
-        BackendChoice::Portfolio => {
-            crate::portfolio::solve_portfolio(lg, goal, opts, mgr, limits, rec)
         }
     }
 }
 
-/// [`enumeration_feasible`] plus a `limit` trace event on rejection.
-pub(crate) fn feasible_traced(
+/// Errs, with a `limit` trace event, when a lean is too large for the
+/// caller's enumeration cap. The cap is clamped to the enumerator's
+/// representation limit, so a wire request raising `max_lean` arbitrarily
+/// high can never push an oversized lean into the enumerator's panic path.
+fn enumeration_feasible(
     diamonds: usize,
     limits: &Limits,
     rec: &Recorder,
 ) -> Result<(), SolveError> {
-    enumeration_feasible(diamonds, limits).inspect_err(|e| {
-        if let Some(ex) = e.exhausted() {
-            limit_event(rec, &ex);
-        }
-    })
-}
-
-/// Errs when a lean is too large for the caller's enumeration cap. The
-/// cap is clamped to the enumerator's representation limit, so a wire
-/// request raising `max_lean` arbitrarily high can never push an
-/// oversized lean into the enumerator's panic path.
-pub(crate) fn enumeration_feasible(diamonds: usize, limits: &Limits) -> Result<(), SolveError> {
     let cap = limits
         .max_lean_diamonds
         .min(crate::bits::ENUMERATION_HARD_CAP);
     if diamonds > cap {
-        return Err(SolveError::ResourceExhausted {
+        let e = Exhausted {
             resource: Resource::LeanDiamonds,
             spent: diamonds as u64,
             limit: cap as u64,
-        });
+        };
+        limit_event(rec, &e);
+        return Err(e.into());
     }
     Ok(())
 }
@@ -629,100 +558,12 @@ mod tests {
     }
 
     #[test]
-    fn dual_reports_combined_telemetry() {
-        let mut lg = Logic::new();
-        let goal = lg.parse("a & <1>(b & <2>c)").unwrap();
-        let s = solve_with(
-            &mut lg,
-            goal,
-            BackendChoice::Dual,
-            &SymbolicOptions::default(),
-            &Limits::default(),
-        )
-        .unwrap();
-        match &s.stats.telemetry {
-            Telemetry::Dual {
-                symbolic,
-                explicit,
-                symbolic_iterations,
-                explicit_iterations,
-            } => {
-                assert!(symbolic.bdd_nodes().unwrap() > 0);
-                assert!(explicit.explicit_types().unwrap() > 0);
-                // The drivers' counts are reported distinctly, and the
-                // top-level stat is the symbolic driver's alone — not the
-                // sum that used to double-count.
-                assert_eq!(s.stats.iterations, *symbolic_iterations);
-                assert!(*explicit_iterations > 0);
-            }
-            other => panic!("expected dual telemetry, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn portfolio_reports_winner_telemetry() {
-        let mut lg = Logic::new();
-        let goal = lg.parse("a & <1>(b & <2>c)").unwrap();
-        let s = solve_with(
-            &mut lg,
-            goal,
-            BackendChoice::Portfolio,
-            &SymbolicOptions::default(),
-            &Limits::default(),
-        )
-        .unwrap();
-        assert!(s.outcome.is_satisfiable());
-        match &s.stats.telemetry {
-            Telemetry::Portfolio {
-                winner,
-                raced,
-                inner,
-            } => {
-                assert!(raced.contains(winner), "{winner} not in {raced:?}");
-                assert!(raced.contains(&"symbolic"));
-                assert_eq!(inner.backend_name(), *winner);
-            }
-            other => panic!("expected portfolio telemetry, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn portfolio_degrades_to_symbolic_on_oversized_leans() {
-        // When the lean is too large for the enumerating racers, the
-        // portfolio must still answer — racing only the symbolic backend —
-        // instead of reporting the enumeration as exhausted.
-        let mut lg = Logic::new();
-        let src: Vec<String> = (0..18).map(|i| format!("<1><2>l{i}")).collect();
-        let goal = lg.parse(&src.join(" | ")).unwrap();
-        let s = solve_with(
-            &mut lg,
-            goal,
-            BackendChoice::Portfolio,
-            &SymbolicOptions::default(),
-            &Limits::default(),
-        )
-        .unwrap();
-        assert!(s.outcome.is_satisfiable());
-        match &s.stats.telemetry {
-            Telemetry::Portfolio { winner, raced, .. } => {
-                assert_eq!(*winner, "symbolic");
-                assert_eq!(raced, &vec!["symbolic"]);
-            }
-            other => panic!("expected portfolio telemetry, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn enumerating_backends_reject_oversized_leans() {
         // A disjunction of many distinct diamonds blows past the default
-        // lean-diamond cap; every enumerating choice must report the
+        // lean-diamond cap; every enumerating backend must report the
         // budget as exhausted — not panic (which would kill a serving
         // engine) and not hang.
-        for backend in [
-            BackendChoice::Explicit,
-            BackendChoice::Witnessed,
-            BackendChoice::Dual,
-        ] {
+        for backend in [BackendChoice::Explicit, BackendChoice::Witnessed] {
             let mut lg = Logic::new();
             let src: Vec<String> = (0..18).map(|i| format!("<1><2>l{i}")).collect();
             let goal = lg.parse(&src.join(" | ")).unwrap();
@@ -753,11 +594,7 @@ mod tests {
         // mask limit; the feasibility check must clamp — returning a
         // typed exhaustion against the clamped cap — instead of letting
         // the oversized lean reach the enumerator's panic path.
-        for backend in [
-            BackendChoice::Explicit,
-            BackendChoice::Witnessed,
-            BackendChoice::Dual,
-        ] {
+        for backend in [BackendChoice::Explicit, BackendChoice::Witnessed] {
             let mut lg = Logic::new();
             let src: Vec<String> = (0..18).map(|i| format!("<1><2>l{i}")).collect();
             let goal = lg.parse(&src.join(" | ")).unwrap();
@@ -808,21 +645,37 @@ mod tests {
     }
 
     #[test]
-    fn zero_deadline_exhausts_immediately() {
-        for backend in BackendChoice::ALL {
-            let mut lg = Logic::new();
-            let goal = lg.parse("a & <1>b").unwrap();
-            let limits = Limits {
-                deadline: Some(Duration::ZERO),
-                ..Limits::default()
-            };
-            let err = solve_with(&mut lg, goal, backend, &SymbolicOptions::default(), &limits)
-                .unwrap_err();
-            assert_eq!(
-                err.exhausted().map(|e| e.resource),
-                Some(Resource::WallClock),
-                "{backend}: {err}"
-            );
+    fn zero_deadline_and_cancelled_token_exhaust_immediately() {
+        let cancelled = crate::CancelToken::armed();
+        cancelled.cancel();
+        let cases = [
+            (
+                Limits {
+                    deadline: Some(Duration::ZERO),
+                    ..Limits::default()
+                },
+                Resource::WallClock,
+            ),
+            (
+                Limits {
+                    cancel: cancelled,
+                    ..Limits::default()
+                },
+                Resource::Cancelled,
+            ),
+        ];
+        for (limits, resource) in cases {
+            for backend in BackendChoice::ALL {
+                let mut lg = Logic::new();
+                let goal = lg.parse("a & <1>b").unwrap();
+                let err = solve_with(&mut lg, goal, backend, &SymbolicOptions::default(), &limits)
+                    .unwrap_err();
+                assert_eq!(
+                    err.exhausted().map(|e| e.resource),
+                    Some(resource),
+                    "{backend}: {err}"
+                );
+            }
         }
     }
 
@@ -834,20 +687,24 @@ mod tests {
             max_bdd_nodes: Some(8),
             ..Limits::default()
         };
-        for backend in [BackendChoice::Symbolic, BackendChoice::Dual] {
-            let err = solve_with(&mut lg, goal, backend, &SymbolicOptions::default(), &limits)
-                .unwrap_err();
-            match err {
-                SolveError::ResourceExhausted {
-                    resource: Resource::BddNodes,
-                    spent,
-                    limit,
-                } => {
-                    assert!(spent > limit, "{backend}: {spent} vs {limit}");
-                    assert_eq!(limit, 8, "{backend}");
-                }
-                other => panic!("{backend}: expected node exhaustion, got {other}"),
+        let err = solve_with(
+            &mut lg,
+            goal,
+            BackendChoice::Symbolic,
+            &SymbolicOptions::default(),
+            &limits,
+        )
+        .unwrap_err();
+        match err {
+            SolveError::ResourceExhausted {
+                resource: Resource::BddNodes,
+                spent,
+                limit,
+            } => {
+                assert!(spent > limit, "{spent} vs {limit}");
+                assert_eq!(limit, 8);
             }
+            other => panic!("expected node exhaustion, got {other}"),
         }
         // The budget does not bother the enumerating backends.
         let s = solve_with(
@@ -894,7 +751,7 @@ mod tests {
                 })
                 .collect();
             assert!(phases.contains(&"fixpoint"), "{backend}: phases {phases:?}");
-            // One step event per driver iteration (dual runs two drivers).
+            // One step event per driver iteration.
             let min_steps = s.stats.iterations;
             assert!(
                 steps.len() >= min_steps.min(2),
@@ -911,24 +768,20 @@ mod tests {
                     );
                 }
             }
-            // The proved measure grows monotonically within one solve for
-            // the single-driver backends (dual and portfolio interleave
-            // several drivers' event streams).
-            if !matches!(backend, BackendChoice::Dual | BackendChoice::Portfolio) {
-                let proved: Vec<u64> = steps
-                    .iter()
-                    .filter_map(|e| {
-                        e.fields.iter().find_map(|(n, v)| match v {
-                            FieldValue::U64(u) if *n == "proved" => Some(*u),
-                            _ => None,
-                        })
+            // The proved measure grows monotonically within one solve.
+            let proved: Vec<u64> = steps
+                .iter()
+                .filter_map(|e| {
+                    e.fields.iter().find_map(|(n, v)| match v {
+                        FieldValue::U64(u) if *n == "proved" => Some(*u),
+                        _ => None,
                     })
-                    .collect();
-                assert!(
-                    proved.windows(2).all(|w| w[0] <= w[1]),
-                    "{backend}: proved not monotone: {proved:?}"
-                );
-            }
+                })
+                .collect();
+            assert!(
+                proved.windows(2).all(|w| w[0] <= w[1]),
+                "{backend}: proved not monotone: {proved:?}"
+            );
         }
     }
 

@@ -22,9 +22,10 @@ use crate::bits::MAX_EXPLICIT_DIAMONDS;
 
 /// Cooperative cancellation of an in-flight solve.
 ///
-/// The portfolio mode clones one armed token into every racer; the first
-/// racer to finish flips the shared flag and the others abort at their
-/// next poll point — the per-`Upd`-step check in
+/// `xsat serve`'s graceful drain clones one armed token into every
+/// in-flight solve; when the drain deadline passes it flips the shared
+/// flag and the solves abort at their next poll point — the per-`Upd`-step
+/// check in
 /// [`run_fixpoint`](crate::run_fixpoint), the symbolic backend's budget
 /// poll between relational-product clauses, and the enumeration and
 /// table-construction loops of the enumerating backends — with a
@@ -101,7 +102,7 @@ pub struct Limits {
     /// Cap on `Upd` fixpoint iterations.
     pub max_iterations: Option<usize>,
     /// Cap on `⟨a⟩ϕ` lean entries accepted by the enumerating backends
-    /// (explicit, witnessed, and the explicit half of dual mode). The
+    /// (explicit, witnessed). The
     /// enumeration is exponential in this count; the default is the
     /// paper-scale [`MAX_EXPLICIT_DIAMONDS`]. Values above the
     /// enumeration's representation limit (26) are clamped to it by the
@@ -109,8 +110,8 @@ pub struct Limits {
     /// typed exhaustion — never a panic.
     pub max_lean_diamonds: usize,
     /// Cooperative cancellation, polled alongside the deadline at every
-    /// budget check. Inert by default; the portfolio mode arms one token
-    /// shared by its racers. Ignored by equality and hashing.
+    /// budget check. Inert by default; a draining server arms one token
+    /// shared by its in-flight solves. Ignored by equality and hashing.
     pub cancel: CancelToken,
 }
 
@@ -198,9 +199,8 @@ pub enum Resource {
     Iterations,
     /// `⟨a⟩ϕ` lean entries presented to an enumerating backend.
     LeanDiamonds,
-    /// Cooperative cancellation: another racer of a portfolio solve
-    /// finished first. Never surfaces in protocol responses — the
-    /// portfolio coordinator discards the losers' reports.
+    /// Cooperative cancellation: the caller gave up on the answer (a
+    /// server's drain deadline passed).
     Cancelled,
 }
 
@@ -248,8 +248,8 @@ impl Exhausted {
         }
     }
 
-    /// A cancellation report: a concurrent racer finished first after
-    /// `elapsed` of this run. There is no meaningful budget; `limit` is 0.
+    /// A cancellation report: the caller cancelled the run after `elapsed`.
+    /// There is no meaningful budget; `limit` is 0.
     pub fn cancelled(elapsed: Duration) -> Exhausted {
         Exhausted {
             resource: Resource::Cancelled,
@@ -282,11 +282,9 @@ impl fmt::Display for Exhausted {
                 "resource exhausted: lean has {} diamonds, the cap is {}",
                 self.spent, self.limit
             ),
-            Resource::Cancelled => write!(
-                f,
-                "resource exhausted: cancelled by a concurrent racer after {} ms",
-                self.spent
-            ),
+            Resource::Cancelled => {
+                write!(f, "resource exhausted: cancelled after {} ms", self.spent)
+            }
         }
     }
 }
@@ -327,25 +325,25 @@ mod tests {
     #[test]
     fn cancel_token_is_shared_and_invisible_to_equality() {
         let token = CancelToken::armed();
-        let racer = Limits {
+        let solve_limits = Limits {
             cancel: token.clone(),
             ..Limits::default()
         };
         // Armed-but-uncancelled polls pass; the token still counts as a
         // bound so pollers are not skipped.
-        assert!(racer.poll(Instant::now()).is_ok());
+        assert!(solve_limits.poll(Instant::now()).is_ok());
         assert!(!Limits {
             cancel: token.clone(),
             ..Limits::none()
         }
         .is_unbounded());
         token.cancel();
-        let e = racer.poll(Instant::now()).unwrap_err();
+        let e = solve_limits.poll(Instant::now()).unwrap_err();
         assert_eq!(e.resource, Resource::Cancelled);
         assert_eq!(Resource::Cancelled.as_str(), "cancelled");
         // The token never participates in the budget contract's identity:
         // the memo cache must key identically-budgeted solves together.
-        assert_eq!(racer, Limits::default());
+        assert_eq!(solve_limits, Limits::default());
         // `after` carries the token along.
         let timed = Limits {
             deadline: Some(Duration::from_millis(100)),

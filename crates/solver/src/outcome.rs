@@ -22,13 +22,6 @@ impl Model {
         }
     }
 
-    /// Reassembles a model from an already-decoded root row. The portfolio
-    /// coordinator ships models across threads as `Send` binary trees (one
-    /// per root) and rebuilds the `Rc`-based row on the calling thread.
-    pub(crate) fn from_roots(roots: Vec<Tree>) -> Model {
-        Model { roots }
-    }
-
     /// Builds a model from an explicit root row. Used by witness
     /// verification tests and the regression corpus to replay hand-written
     /// counter-examples through the same oracles that gate solver output.
@@ -175,10 +168,9 @@ impl From<bdd::BddStats> for BddCounters {
 /// Backend-specific measurements of one solver run.
 ///
 /// Each backend reports the counters that are meaningful for its
-/// representation; the [`BackendChoice::Dual`](crate::BackendChoice::Dual)
-/// cross-check carries both sides. This replaces the old pair of
-/// `Option` fields on [`Stats`] whose populated/empty combinations
-/// encoded the backend implicitly.
+/// representation. This replaces the old pair of `Option` fields on
+/// [`Stats`] whose populated/empty combinations encoded the backend
+/// implicitly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Telemetry {
     /// The symbolic BDD backend (§7).
@@ -203,44 +195,10 @@ pub enum Telemetry {
         /// Compact XML of the reconstructed satisfying model, when the run
         /// was satisfiable. Kept here (a `Send`-safe string, unlike the
         /// `Rc`-based [`Model`]) so the witness stays reachable wherever
-        /// the telemetry travels — across portfolio racer threads and
-        /// through memo-cached verdicts — instead of dying with the
-        /// outcome.
+        /// the telemetry travels — across worker threads and through
+        /// memo-cached verdicts — instead of dying with the outcome.
         witness: Option<String>,
     },
-    /// A dual cross-check run: both sub-runs' telemetry, with each
-    /// driver's iteration count reported distinctly (the top-level
-    /// [`Stats::iterations`] is the symbolic driver's alone — summing the
-    /// two drivers used to double-count).
-    Dual {
-        /// The symbolic sub-run.
-        symbolic: Box<Telemetry>,
-        /// The explicit sub-run.
-        explicit: Box<Telemetry>,
-        /// Fixpoint iterations of the symbolic driver.
-        symbolic_iterations: usize,
-        /// Fixpoint iterations of the explicit driver.
-        explicit_iterations: usize,
-    },
-    /// A portfolio race: the winning backend's telemetry plus the names of
-    /// every backend that was actually raced.
-    Portfolio {
-        /// Protocol name of the backend whose verdict was returned.
-        winner: &'static str,
-        /// Protocol names of all raced backends, in protocol order.
-        raced: Vec<&'static str>,
-        /// The winner's own telemetry.
-        inner: Box<Telemetry>,
-    },
-}
-
-/// Protocol order of the backend names, for deterministic portfolio
-/// merging (mirrors `BackendChoice::ALL`).
-fn backend_rank(name: &str) -> usize {
-    ["symbolic", "explicit", "witnessed", "dual", "portfolio"]
-        .iter()
-        .position(|&n| n == name)
-        .unwrap_or(usize::MAX)
 }
 
 /// Commutative combine of two optional witness documents: keep the one
@@ -271,139 +229,68 @@ impl Telemetry {
             Telemetry::Symbolic { .. } => "symbolic",
             Telemetry::Explicit { .. } => "explicit",
             Telemetry::Witnessed { .. } => "witnessed",
-            Telemetry::Dual { .. } => "dual",
-            Telemetry::Portfolio { .. } => "portfolio",
         }
     }
 
-    /// BDD nodes, when a symbolic run is involved (for dual runs, the
-    /// symbolic side's count).
+    /// BDD nodes, for a symbolic run.
     pub fn bdd_nodes(&self) -> Option<usize> {
         match self {
             Telemetry::Symbolic { bdd_nodes, .. } => Some(*bdd_nodes),
-            Telemetry::Dual { symbolic, .. } => symbolic.bdd_nodes(),
-            Telemetry::Portfolio { inner, .. } => inner.bdd_nodes(),
             _ => None,
         }
     }
 
-    /// BDD kernel counters, when a symbolic run is involved (for dual
-    /// runs, the symbolic side's).
+    /// BDD kernel counters, for a symbolic run.
     pub fn bdd_counters(&self) -> Option<&BddCounters> {
         match self {
             Telemetry::Symbolic { counters, .. } => Some(counters),
-            Telemetry::Dual { symbolic, .. } => symbolic.bdd_counters(),
-            Telemetry::Portfolio { inner, .. } => inner.bdd_counters(),
             _ => None,
         }
     }
 
-    /// Unique-table load factor of the symbolic side, when one exists.
+    /// Unique-table load factor, for a symbolic run.
     pub fn load_factor(&self) -> Option<f64> {
         self.bdd_counters().map(BddCounters::load_factor)
     }
 
-    /// Operation-cache hit rate of the symbolic side, when one exists.
+    /// Operation-cache hit rate, for a symbolic run.
     pub fn cache_hit_rate(&self) -> Option<f64> {
         self.bdd_counters().map(BddCounters::cache_hit_rate)
     }
 
-    /// The witnessed backend's reconstructed model as compact XML, when a
-    /// satisfiable witnessed run is involved (for portfolio and dual runs,
-    /// dug out of the inner telemetry).
+    /// The witnessed backend's reconstructed model as compact XML, for a
+    /// satisfiable witnessed run.
     pub fn witness_xml(&self) -> Option<&str> {
         match self {
             Telemetry::Witnessed { witness, .. } => witness.as_deref(),
-            Telemetry::Dual { explicit, .. } => explicit.witness_xml(),
-            Telemetry::Portfolio { inner, .. } => inner.witness_xml(),
             _ => None,
         }
     }
 
-    /// Enumerated ψ-types, when an enumerating run is involved (for dual
-    /// runs, the explicit side's count).
+    /// Enumerated ψ-types, for an enumerating run.
     pub fn explicit_types(&self) -> Option<usize> {
         match self {
             Telemetry::Explicit { types } | Telemetry::Witnessed { types, .. } => Some(*types),
-            Telemetry::Dual { explicit, .. } => explicit.explicit_types(),
-            Telemetry::Portfolio { inner, .. } => inner.explicit_types(),
-            _ => None,
+            Telemetry::Symbolic { .. } => None,
         }
     }
 
     /// Combines the telemetry of two sub-problems (e.g. the two directions
     /// of an equivalence) by summing the counters.
     ///
-    /// The merge is *total*: matching variants combine field-wise
-    /// (allocation and cache counters sum, high-water marks take the
-    /// maximum), and mismatched variants — which arise in dual mode when a
-    /// sub-problem short-circuits one side, or when a multi-part problem
-    /// mixes backends — are folded without losing either side: a dual
-    /// absorbs a single-backend run into its matching half, and a symbolic
-    /// run paired with an enumerating run becomes a dual. The enumerating
-    /// variants (explicit, witnessed) fold into the witnessed shape —
-    /// summing their shared `types` counter and keeping the witnessed
-    /// side's `proved` count — regardless of order.
+    /// Matching variants combine field-wise: allocation and cache counters
+    /// sum, high-water marks take the maximum. The enumerating variants
+    /// (explicit, witnessed) fold into the witnessed shape, summing their
+    /// shared `types` counter and keeping the witnessed side's `proved`
+    /// count.
     ///
-    /// The merge is also *commutative*: `a.merge(b)` and `b.merge(a)`
-    /// report the same counters for every variant pair, so dual-mode
-    /// aggregation never depends on which sub-solve finished first.
-    ///
-    /// Portfolio telemetry has the highest precedence: merging two
-    /// portfolio runs unions the raced sets, keeps the
-    /// protocol-order-first winner, and merges the inner telemetry;
-    /// merging a portfolio with anything else absorbs the other side into
-    /// the portfolio's inner telemetry.
+    /// All sub-solves of one problem run on one backend, so a symbolic
+    /// telemetry never meets an enumerating one in practice. The merge
+    /// stays total anyway, by the simplest rule that keeps it commutative:
+    /// the symbolic side wins and the enumerating side is dropped.
     pub fn merge(self, other: Telemetry) -> Telemetry {
-        use Telemetry::{Dual, Explicit, Portfolio, Symbolic, Witnessed};
+        use Telemetry::{Explicit, Symbolic, Witnessed};
         match (self, other) {
-            (
-                Portfolio {
-                    winner: wa,
-                    raced: ra,
-                    inner: ia,
-                },
-                Portfolio {
-                    winner: wb,
-                    raced: rb,
-                    inner: ib,
-                },
-            ) => {
-                let mut raced: Vec<&'static str> = ra;
-                raced.extend(rb);
-                raced.sort_by_key(|n| backend_rank(n));
-                raced.dedup();
-                let winner = if backend_rank(wa) <= backend_rank(wb) {
-                    wa
-                } else {
-                    wb
-                };
-                Portfolio {
-                    winner,
-                    raced,
-                    inner: Box::new(ia.merge(*ib)),
-                }
-            }
-            (
-                Portfolio {
-                    winner,
-                    raced,
-                    inner,
-                },
-                t,
-            )
-            | (
-                t,
-                Portfolio {
-                    winner,
-                    raced,
-                    inner,
-                },
-            ) => Portfolio {
-                winner,
-                raced,
-                inner: Box::new(inner.merge(t)),
-            },
             (
                 Symbolic {
                     bdd_nodes: a,
@@ -417,6 +304,7 @@ impl Telemetry {
                 bdd_nodes: a + b,
                 counters: ca.merge(cb),
             },
+            (s @ Symbolic { .. }, _) | (_, s @ Symbolic { .. }) => s,
             (Explicit { types: a }, Explicit { types: b }) => Explicit { types: a + b },
             (
                 Witnessed {
@@ -434,124 +322,28 @@ impl Telemetry {
                 proved: pa + pb,
                 witness: merge_witness(wa, wb),
             },
-            (
-                Dual {
-                    symbolic: sa,
-                    explicit: ea,
-                    symbolic_iterations: sia,
-                    explicit_iterations: eia,
-                },
-                Dual {
-                    symbolic: sb,
-                    explicit: eb,
-                    symbolic_iterations: sib,
-                    explicit_iterations: eib,
-                },
-            ) => Dual {
-                symbolic: Box::new(sa.merge(*sb)),
-                explicit: Box::new(ea.merge(*eb)),
-                symbolic_iterations: sia + sib,
-                explicit_iterations: eia + eib,
-            },
-            // A dual absorbs a single-backend run into its matching half.
-            (
-                Dual {
-                    symbolic,
-                    explicit,
-                    symbolic_iterations,
-                    explicit_iterations,
-                },
-                s @ Symbolic { .. },
-            ) => Dual {
-                symbolic: Box::new(symbolic.merge(s)),
-                explicit,
-                symbolic_iterations,
-                explicit_iterations,
-            },
-            (
-                s @ Symbolic { .. },
-                Dual {
-                    symbolic,
-                    explicit,
-                    symbolic_iterations,
-                    explicit_iterations,
-                },
-            ) => Dual {
-                symbolic: Box::new(s.merge(*symbolic)),
-                explicit,
-                symbolic_iterations,
-                explicit_iterations,
-            },
-            (
-                Dual {
-                    symbolic,
-                    explicit,
-                    symbolic_iterations,
-                    explicit_iterations,
-                },
-                e,
-            ) => Dual {
-                symbolic,
-                explicit: Box::new(explicit.merge(e)),
-                symbolic_iterations,
-                explicit_iterations,
-            },
-            (
-                e,
-                Dual {
-                    symbolic,
-                    explicit,
-                    symbolic_iterations,
-                    explicit_iterations,
-                },
-            ) => Dual {
-                symbolic,
-                explicit: Box::new(e.merge(*explicit)),
-                symbolic_iterations,
-                explicit_iterations,
-            },
-            // Symbolic + enumerating: the pair is exactly a dual's shape
-            // (no driver iteration counts are known for the halves).
-            (s @ Symbolic { .. }, e) => Dual {
-                symbolic: Box::new(s),
-                explicit: Box::new(e),
-                symbolic_iterations: 0,
-                explicit_iterations: 0,
-            },
-            (e, s @ Symbolic { .. }) => Dual {
-                symbolic: Box::new(s),
-                explicit: Box::new(e),
-                symbolic_iterations: 0,
-                explicit_iterations: 0,
-            },
             // Explicit vs witnessed: both enumerate ψ-types. Fold to the
             // witnessed shape in either order, summing the shared `types`
-            // counter and keeping the proved count — the pre-fix left-shape
-            // rule silently dropped `proved` when the explicit run came
-            // first.
+            // counter and keeping the proved count.
             (
                 Explicit { types: a },
                 Witnessed {
                     types: b,
-                    proved: pb,
-                    witness: wb,
+                    proved,
+                    witness,
                 },
-            ) => Witnessed {
-                types: a + b,
-                proved: pb,
-                witness: wb,
-            },
-            (
+            )
+            | (
                 Witnessed {
-                    types: a,
-                    proved: pa,
-                    witness: wa,
+                    types: b,
+                    proved,
+                    witness,
                 },
-                Explicit { types: b },
+                Explicit { types: a },
             ) => Witnessed {
                 types: a + b,
-                proved: pa,
-                witness: wa,
+                proved,
+                witness,
             },
         }
     }
@@ -654,25 +446,8 @@ mod tests {
         assert_eq!(e.explicit_types(), Some(4));
         assert_eq!(s.cache_hit_rate(), Some(0.75));
         assert_eq!(s.load_factor(), Some(12.0 / 1024.0));
-        let d = Telemetry::Dual {
-            symbolic: Box::new(s.clone()),
-            explicit: Box::new(e.clone()),
-            symbolic_iterations: 3,
-            explicit_iterations: 4,
-        };
-        assert_eq!(d.backend_name(), "dual");
-        assert_eq!(d.bdd_nodes(), Some(10));
-        assert_eq!(d.explicit_types(), Some(4));
-        assert_eq!(d.cache_hit_rate(), Some(0.75));
-        let p = Telemetry::Portfolio {
-            winner: "symbolic",
-            raced: vec!["symbolic", "explicit"],
-            inner: Box::new(s.clone()),
-        };
-        assert_eq!(p.backend_name(), "portfolio");
-        assert_eq!(p.bdd_nodes(), Some(10));
-        assert_eq!(p.cache_hit_rate(), Some(0.75));
-        assert_eq!(p.explicit_types(), None);
+        assert_eq!(e.bdd_nodes(), None);
+        assert_eq!(e.cache_hit_rate(), None);
         let c5 = BddCounters {
             peak_nodes: 50,
             created_nodes: 7,
@@ -718,60 +493,9 @@ mod tests {
             proved: 3,
             witness: None,
         };
-        let d = Telemetry::Dual {
-            symbolic: Box::new(s.clone()),
-            explicit: Box::new(e.clone()),
-            symbolic_iterations: 2,
-            explicit_iterations: 5,
-        };
-        // A portfolio absorbs anything into its inner telemetry, keeping
-        // the winner and raced set.
-        let p = Telemetry::Portfolio {
-            winner: "witnessed",
-            raced: vec!["symbolic", "witnessed"],
-            inner: Box::new(s.clone()),
-        };
-        let m = p.clone().merge(w.clone());
-        match &m {
-            Telemetry::Portfolio { winner, raced, .. } => {
-                assert_eq!(*winner, "witnessed");
-                assert_eq!(raced, &vec!["symbolic", "witnessed"]);
-            }
-            other => panic!("expected portfolio, got {other:?}"),
-        }
-        assert_eq!(m.explicit_types(), Some(2));
-        // Two portfolios union the raced sets and keep the
-        // protocol-order-first winner.
-        let p2 = Telemetry::Portfolio {
-            winner: "explicit",
-            raced: vec!["explicit", "dual"],
-            inner: Box::new(e.clone()),
-        };
-        match p.clone().merge(p2) {
-            Telemetry::Portfolio { winner, raced, .. } => {
-                assert_eq!(winner, "explicit");
-                assert_eq!(raced, vec!["symbolic", "explicit", "witnessed", "dual"]);
-            }
-            other => panic!("expected portfolio, got {other:?}"),
-        }
-        // A dual absorbs a symbolic run into its symbolic half…
-        let m = d.clone().merge(s.clone());
-        assert_eq!(m.bdd_nodes(), Some(20));
-        assert_eq!(m.explicit_types(), Some(4));
-        // …and an enumerating run into its explicit half, in either order.
-        let m = w.clone().merge(d.clone());
-        assert_eq!(m.backend_name(), "dual");
-        assert_eq!(m.explicit_types(), Some(6));
-        let m = d.clone().merge(e.clone());
-        assert_eq!(m.explicit_types(), Some(8));
-        // Symbolic + enumerating forms a dual without dropping a side.
-        let m = s.clone().merge(w.clone());
-        assert_eq!(m.backend_name(), "dual");
-        assert_eq!(m.bdd_nodes(), Some(10));
-        assert_eq!(m.explicit_types(), Some(2));
-        let m = e.clone().merge(s);
-        assert_eq!(m.backend_name(), "dual");
-        assert_eq!(m.explicit_types(), Some(4));
+        // Symbolic + enumerating keeps the symbolic side, in either order.
+        assert_eq!(s.clone().merge(w.clone()), s);
+        assert_eq!(e.clone().merge(s.clone()), s);
         // Explicit vs witnessed sums the shared types counter.
         assert_eq!(e.merge(w).explicit_types(), Some(6));
     }
@@ -795,39 +519,6 @@ mod tests {
                 proved: 3,
                 witness: None,
             },
-            Telemetry::Dual {
-                symbolic: Box::new(sym(
-                    5,
-                    BddCounters {
-                        peak_nodes: 50,
-                        created_nodes: 7,
-                        table_capacity: 512,
-                        cache_hits: 1,
-                        cache_lookups: 2,
-                    },
-                )),
-                explicit: Box::new(Telemetry::Witnessed {
-                    types: 6,
-                    proved: 5,
-                    witness: None,
-                }),
-                symbolic_iterations: 2,
-                explicit_iterations: 3,
-            },
-            Telemetry::Portfolio {
-                winner: "witnessed",
-                raced: vec!["symbolic", "witnessed"],
-                inner: Box::new(Telemetry::Witnessed {
-                    types: 8,
-                    proved: 1,
-                    witness: None,
-                }),
-            },
-            Telemetry::Portfolio {
-                winner: "symbolic",
-                raced: vec!["symbolic", "explicit"],
-                inner: Box::new(sym(7, BddCounters::default())),
-            },
         ];
         for a in &variants {
             for b in &variants {
@@ -843,9 +534,7 @@ mod tests {
     #[test]
     fn explicit_witnessed_merge_never_drops_proved() {
         // Regression: Explicit.merge(Witnessed) used to keep the Explicit
-        // shape, silently discarding the witnessed side's proved counter —
-        // observable in dual mode when a Dual carrying an Explicit half
-        // absorbed a Witnessed run.
+        // shape, silently discarding the witnessed side's proved counter.
         let e = Telemetry::Explicit { types: 4 };
         let w = Telemetry::Witnessed {
             types: 2,

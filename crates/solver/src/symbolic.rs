@@ -141,8 +141,8 @@ struct Sym<'m> {
     started: Instant,
     /// Wall-clock budget of the run, when one is set.
     deadline: Option<Duration>,
-    /// Cooperative cancellation, polled with the deadline: a portfolio
-    /// sibling's win aborts this run between relational-product clauses.
+    /// Cooperative cancellation, polled with the deadline: a cancelled
+    /// run aborts between relational-product clauses.
     cancel: CancelToken,
 }
 
@@ -264,10 +264,10 @@ impl<'m> Sym<'m> {
     /// relational-product fold, so even a single expensive step cannot run
     /// far past its budget.
     fn check_budget(&self) -> Result<(), Exhausted> {
-        if let Some((live, budget)) = self.bdd.budget_exceeded() {
+        if let Some((at_crossing, budget)) = self.bdd.budget_exceeded() {
             return Err(Exhausted {
                 resource: Resource::BddNodes,
-                spent: live as u64,
+                spent: at_crossing as u64,
                 limit: budget as u64,
             });
         }

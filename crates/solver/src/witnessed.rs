@@ -55,8 +55,7 @@ impl Tables {
     ) -> Result<Tables, Exhausted> {
         let en = TypeEnumerator::new(lean);
         // The enumeration and the word-parallel status evaluation both
-        // poll the limits, so a cancelled portfolio racer aborts
-        // mid-construction.
+        // poll the limits, so a cancelled run aborts mid-construction.
         let types = en.enumerate(true, limits, started)?;
         let entries: Vec<(usize, Program, Formula)> = lean.diam_entries().collect();
         let formulas: Vec<Formula> = entries

@@ -11,42 +11,56 @@
 //! cargo run --release --bin experiments -- fig18
 //! ```
 //!
+//! Every Table 2 row is decided in both directions and checked against the
+//! verdicts pinned in `paper::Table2Row::claims`: the paper's, except
+//! where a verified counterexample shows it wrong (README, "Where we
+//! differ from the paper"). The binary exits 1 when a verdict differs from
+//! its pin.
+//!
 //! Timings are not expected to match the paper's milliseconds (different
 //! machine, different decade, different BDD engine); the verdicts and their
 //! relative difficulty are.
 
+use std::ops::RangeInclusive;
+use std::sync::Arc;
 use std::time::Instant;
 
-use xsat::analyzer::{paper, Analyzer};
+use xsat::analyzer::{paper, Analyzer, Limits};
 use xsat::mulogic::Logic;
 use xsat::treetypes::{smil_1_0, wikipedia, xhtml_1_0_strict, BinaryType};
 use xsat::xpath::parse;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "fast".to_owned());
-    match arg.as_str() {
-        "table1" => table1(),
-        "table2" => table2_fast(),
-        "table2-xhtml" => table2_xhtml(),
-        "fig13" => fig13(),
-        "fig18" => fig18(),
-        "all" => {
+    let mismatches = match arg.as_str() {
+        "table1" => {
             table1();
-            fig13();
-            fig18();
-            table2_fast();
-            table2_xhtml();
+            0
         }
-        "fast" => {
+        "table2" => table2(1..=4),
+        "table2-xhtml" => table2(5..=6),
+        "fig13" => {
+            fig13();
+            0
+        }
+        "fig18" => {
+            fig18();
+            0
+        }
+        "all" | "fast" => {
             table1();
             fig13();
             fig18();
-            table2_fast();
+            table2(if arg == "all" { 1..=6 } else { 1..=4 })
         }
         other => {
             eprintln!("unknown experiment {other:?}");
             std::process::exit(2);
         }
+    };
+    if mismatches > 0 {
+        eprintln!("{mismatches} Table 2 verdict(s) differ from the pinned ones");
+        std::process::exit(1);
     }
 }
 
@@ -74,146 +88,64 @@ fn table1() {
     println!();
 }
 
-struct RowResult {
-    description: &'static str,
-    paper_ms: u64,
-    measured_ms: u128,
-    verdicts: String,
-    lean: usize,
-}
-
-fn print_rows(rows: &[RowResult]) {
+/// Solves every direction of the given Table 2 rows (1-based) and prints
+/// each verdict next to the paper's. Returns how many verdicts differ from
+/// the pinned ones of `paper::Table2Row::claims`.
+fn table2(rows: RangeInclusive<usize>) -> usize {
     println!(
-        "{:<28} {:>6} {:>12} {:>12}  verdicts",
-        "problem", "lean", "paper (ms)", "ours (ms)"
+        "== Table 2 (rows {}-{}): decision problems ==",
+        rows.start(),
+        rows.end()
     );
+    println!(
+        "{:<4} {:<28} {:>6} {:>12} {:>12}  verdicts (paper's where ours differs)",
+        "row", "problem", "lean", "paper (ms)", "ours (ms)"
+    );
+    let table = paper::table2();
+    let mut mismatches = 0;
+    let mut notes = Vec::new();
     for r in rows {
+        let row = &table[r - 1];
+        let dtd = row.type_used.dtd().map(Arc::new);
+        let mut az = Analyzer::new();
+        let (mut lean, mut verdicts) = (0, Vec::new());
+        let t = Instant::now();
+        for claim in row.claims() {
+            let label = claim.direction.label();
+            let a = az
+                .solve(&claim.direction.problem(dtd.as_ref()), &Limits::default())
+                .unwrap_or_else(|e| panic!("row {r}: {label}: {e}"));
+            lean = lean.max(a.stats.lean_size);
+            let mut v = format!("{label}: {}", a.holds);
+            if claim.ours != claim.paper {
+                v += &format!(" (paper: {})", claim.paper);
+            }
+            if a.holds != claim.ours {
+                v += " MISMATCH";
+                mismatches += 1;
+            }
+            verdicts.push(v);
+            if let Some(m) = &a.counter_example {
+                let kind = if a.holds { "witness" } else { "counterexample" };
+                notes.push(format!("  {label} {kind}: {}", m.xml()));
+            }
+        }
         println!(
-            "{:<28} {:>6} {:>12} {:>12}  {}",
-            r.description, r.lean, r.paper_ms, r.measured_ms, r.verdicts
+            "{:<4} {:<28} {:>6} {:>12} {:>12}  {}",
+            r,
+            row.description,
+            lean,
+            row.paper_ms,
+            t.elapsed().as_millis(),
+            verdicts.join(", ")
         );
     }
+    println!("counterexamples and witnesses:");
+    for n in &notes {
+        println!("{n}");
+    }
     println!();
-}
-
-fn table2_fast() {
-    println!("== Table 2 (rows 1-4): decision problems ==");
-    let mut rows = Vec::new();
-
-    // Row 1: e1 ⊆ e2 and e2 ⊄ e1.
-    rows.push(containment_row("e1 ⊆ e2 and e2 ⊄ e1", 1, 2, 353, false));
-    // Row 2: e4 ⊆ e3 both ways.
-    rows.push(containment_row("e4 ⊆ e3 and e3 ⊆ e4", 4, 3, 45, true));
-    // Row 3: e6 ⊆ e5 and e5 ⊄ e6.
-    rows.push(containment_row("e6 ⊆ e5 and e5 ⊄ e6", 6, 5, 41, false));
-
-    // Row 4: e7 satisfiable under SMIL 1.0.
-    {
-        let dtd = smil_1_0();
-        let e7 = paper::query(7);
-        let mut az = Analyzer::new();
-        let t = Instant::now();
-        let v = az.is_satisfiable(&e7, Some(&dtd)).unwrap();
-        let ms = t.elapsed().as_millis();
-        rows.push(RowResult {
-            description: "e7 is satisfiable (SMIL)",
-            paper_ms: 157,
-            measured_ms: ms,
-            verdicts: format!("satisfiable={}", v.holds),
-            lean: v.stats.lean_size,
-        });
-        if let Some(m) = &v.counter_example {
-            println!("  e7 witness: {}", m.xml());
-        }
-    }
-    print_rows(&rows);
-}
-
-fn containment_row(
-    description: &'static str,
-    lhs: usize,
-    rhs: usize,
-    paper_ms: u64,
-    expect_reverse: bool,
-) -> RowResult {
-    let e_l = paper::query(lhs);
-    let e_r = paper::query(rhs);
-    let mut az = Analyzer::new();
-    let t = Instant::now();
-    let fwd = az.contains(&e_l, None, &e_r, None).unwrap();
-    let bwd = az.contains(&e_r, None, &e_l, None).unwrap();
-    let ms = t.elapsed().as_millis();
-    let verdicts = format!(
-        "e{lhs}⊆e{rhs}={} e{rhs}⊆e{lhs}={}{}",
-        fwd.holds,
-        bwd.holds,
-        if bwd.holds == expect_reverse {
-            ""
-        } else {
-            " (!)"
-        }
-    );
-    RowResult {
-        description,
-        paper_ms,
-        measured_ms: ms,
-        verdicts,
-        lean: fwd.stats.lean_size.max(bwd.stats.lean_size),
-    }
-}
-
-fn table2_xhtml() {
-    println!("== Table 2 (rows 5-6): XHTML problems (slow) ==");
-    let mut rows = Vec::new();
-    let dtd = xhtml_1_0_strict();
-
-    // Row 5: e8 satisfiable under XHTML.
-    {
-        let e8 = paper::query(8);
-        let mut az = Analyzer::new();
-        let t = Instant::now();
-        let v = az.is_satisfiable(&e8, Some(&dtd)).unwrap();
-        let ms = t.elapsed().as_millis();
-        rows.push(RowResult {
-            description: "e8 is satisfiable (XHTML)",
-            paper_ms: 2630,
-            measured_ms: ms,
-            verdicts: format!("satisfiable={}", v.holds),
-            lean: v.stats.lean_size,
-        });
-        if let Some(m) = &v.counter_example {
-            println!("  e8 witness (anchors nest!): {}", m.xml());
-        }
-    }
-
-    // Row 6: e9 ⊆ e10 ∪ e11 ∪ e12 under XHTML.
-    {
-        let e9 = paper::query(9);
-        let e10 = paper::query(10);
-        let e11 = paper::query(11);
-        let e12 = paper::query(12);
-        let mut az = Analyzer::new();
-        let t = Instant::now();
-        let v = az
-            .covers(
-                &e9,
-                Some(&dtd),
-                &[(&e10, Some(&dtd)), (&e11, Some(&dtd)), (&e12, Some(&dtd))],
-            )
-            .unwrap();
-        let ms = t.elapsed().as_millis();
-        rows.push(RowResult {
-            description: "e9 ⊆ (e10 ∪ e11 ∪ e12)",
-            paper_ms: 2872,
-            measured_ms: ms,
-            verdicts: format!("covered={}", v.holds),
-            lean: v.stats.lean_size,
-        });
-        if let Some(m) = &v.counter_example {
-            println!("  coverage counter-example: {}", m.xml());
-        }
-    }
-    print_rows(&rows);
+    mismatches
 }
 
 fn fig13() {

@@ -20,12 +20,9 @@
 //! the solve could decide (the `unknown` verdict), so they compose with
 //! shell logic.
 //!
-//! `--backend {symbolic,explicit,witnessed,dual,portfolio}` selects the
-//! solver backend (default `symbolic`); `dual` runs the symbolic and
-//! explicit backends concurrently and fails loudly if their verdicts ever
-//! disagree — the recommended CI configuration — while `portfolio` races
-//! every feasible backend under one shared deadline and returns the first
-//! verdict, cancelling the losers. For `batch`/`serve` the
+//! `--backend {symbolic,explicit,witnessed}` selects the solver backend
+//! (default `symbolic`); `explicit` and `witnessed` are the paper's
+//! reference algorithms, kept as cross-checks. For `batch`/`serve` the
 //! flag sets the default backend of the engine, which individual requests
 //! override with a `"backend"` field; every verdict echoes the backend
 //! that produced it.
@@ -168,10 +165,6 @@ Backends (--backend, default symbolic):
   symbolic    the BDD-based production algorithm (paper §7)
   explicit    the enumerated reference algorithm (paper §6.2)
   witnessed   the literal Fig 16 algorithm with explicit witness sets
-  dual        run symbolic + explicit concurrently and fail loudly on any
-              verdict disagreement (recommended for CI)
-  portfolio   race every feasible backend under one shared deadline,
-              return the first verdict and cancel the losers
 
 Resource limits (LIMITS, on every subcommand — the engine defaults, which
 individual batch/serve requests override with a \"limits\" object):
@@ -510,12 +503,10 @@ fn print_human(response: &Value, explain: bool) {
                 .and_then(Value::as_f64)
                 .unwrap_or(0.0),
         );
-        // BDD kernel telemetry, when a symbolic side was involved (for
-        // dual verdicts the nested symbolic payload).
-        let telemetry = stats.get("telemetry");
-        let symbolic = telemetry
-            .filter(|t| t.get("bdd_nodes").is_some())
-            .or_else(|| telemetry.and_then(|t| t.get("symbolic")));
+        // BDD kernel telemetry, on symbolic verdicts.
+        let symbolic = stats
+            .get("telemetry")
+            .filter(|t| t.get("bdd_nodes").is_some());
         if let Some(sym) = symbolic {
             let p = |k: &str| sym.get(k).and_then(Value::as_f64).unwrap_or(0.0);
             println!(

@@ -1,10 +1,20 @@
 //! The two XHTML rows of Table 2 — slow (seconds in release, much more in
 //! debug), so `#[ignore]`d by default. Run with
-//! `cargo test --release -- --ignored`.
+//! `cargo test --release -- --ignored`. Their verdicts must equal the ones
+//! pinned in `paper::Table2Row::claims`.
 
 use xsat::analyzer::{paper, Analyzer};
 use xsat::treetypes::xhtml_1_0_strict;
 use xsat::xpath::eval_on_tree;
+
+/// The verdicts pinned for Table 2 row `r` (1-based), one per direction.
+fn pinned(r: usize) -> Vec<bool> {
+    paper::table2()[r - 1]
+        .claims()
+        .iter()
+        .map(|c| c.ours)
+        .collect()
+}
 
 /// Table 2 row 5: e8 = `descendant::a[ancestor::a]` is satisfiable under
 /// XHTML 1.0 Strict — the DTD does not prohibit nested anchors.
@@ -16,6 +26,7 @@ fn row5_e8_satisfiable_under_xhtml() {
     let mut az = Analyzer::new();
     let v = az.is_satisfiable(&e8, Some(&dtd)).unwrap();
     assert!(v.holds, "paper: satisfiable");
+    assert_eq!(pinned(5), [v.holds]);
     let m = v.counter_example.expect("witness");
     let tree = m.tree();
     assert!(
@@ -31,7 +42,8 @@ fn row5_e8_satisfiable_under_xhtml() {
 /// element-only trees (no XPath document node above `html`) the coverage
 /// does not hold — `/descendant::*` selects `head` while
 /// `html/(head|body)` from the html root selects nothing. The interpreter
-/// confirms the counter-example; see EXPERIMENTS.md.
+/// confirms the counter-example; README ("Where we differ from the paper")
+/// discusses it.
 #[test]
 #[ignore = "XHTML-scale instance: ~5 s in release mode"]
 fn row6_coverage_counter_example_is_real() {
@@ -49,6 +61,7 @@ fn row6_coverage_counter_example_is_real() {
         )
         .unwrap();
     assert!(!v.holds);
+    assert_eq!(pinned(6), [v.holds]);
     let m = v.counter_example.expect("counter-example");
     let tree = m.tree();
     assert!(dtd.validates(&tree.clear_marks()), "{}", m.xml());

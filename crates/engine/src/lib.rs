@@ -2,8 +2,8 @@
 //! `analyzer` crate (the paper's decision problems as a workload).
 //!
 //! The paper frames XPath/type analysis as many satisfiability calls over a
-//! shared lean; this crate turns the per-call [`Analyzer`] into a session
-//! service:
+//! shared lean; this crate turns the per-call
+//! [`Analyzer`](analyzer::Analyzer) into a session service:
 //!
 //! * a **workspace** ([`Workspace`]) of named DTDs and named XPath queries,
 //!   registered once and referenced by many decision problems;
@@ -11,11 +11,14 @@
 //!   `{"op":"contains","lhs":"q1","rhs":"q2","type":"dtd1"}` in, structured
 //!   verdicts with counter-example XML, solver statistics and wall-clock
 //!   timings out;
-//! * a **parallel batch executor** ([`Engine::run_batch`]) — independent
-//!   problems fan out across worker threads, each worker holding its own
-//!   formula arena and BDD manager, with a shared **memo cache** of
-//!   verdicts keyed by a canonical structural hash of the problem
-//!   ([`Problem`]);
+//! * a **worker pool** ([`pool`]) that runs every solve — long-lived
+//!   threads, each holding its own formula arena and BDD manager, behind
+//!   a bounded task queue, with a shared **memo cache** of verdicts keyed
+//!   by a canonical structural hash of the problem ([`Problem`]) and one
+//!   solve path ([`Worker::solve`]) under panic containment; the TCP tier
+//!   of the `serve` crate runs on the same pool type;
+//! * a **batch executor** ([`Engine::run_batch`]) — independent problems
+//!   are deduplicated and fanned out over the pool;
 //! * a **serve loop** ([`Engine::serve`]) reading JSONL from any reader and
 //!   streaming verdicts to any writer, which is what the `xsat serve`
 //!   daemon mode wraps around stdin/stdout.
@@ -48,35 +51,35 @@
 
 pub mod framing;
 pub mod json;
+pub mod pool;
 pub mod problem;
 pub mod protocol;
 pub mod workspace;
 
 mod executor;
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use analyzer::{Analyzer, AnalyzerOptions};
+use analyzer::AnalyzerOptions;
 use solver::SymbolicOptions;
 
-pub use executor::{note_memo_lookup, run_job_contained, BatchOutcome, BatchStats};
+pub use executor::{BatchOutcome, BatchStats};
 pub use framing::{read_framed, Framed, DEFAULT_MAX_LINE_BYTES};
 pub use json::Value;
 pub use obs::{JsonlSink, MemorySink, Recorder, Sink, SlowEntry, SlowLog};
+pub use pool::{Pool, PoolConfig, Solved, Task, Worker};
 pub use problem::{
     run_job, CounterExample, Job, Problem, RunOutcome, UnknownVerdict, Verdict, VerdictStats,
 };
 pub use protocol::{
-    counterexample_value, error_response, event_value, lint_response, metrics_response,
-    registration_response, slowlog_response, trace_value, unknown_response, verdict_response,
-    LimitsSpec, LintSpec, Op, ProblemSpec, Request, RequestKind, Status, PROTOCOL_VERSION,
+    counterexample_value, error_response, event_value, job_and_limits, lint_response,
+    metrics_response, outcome_response, registration_response, slowlog_response, trace_value,
+    unknown_response, verdict_response, LimitsSpec, LintSpec, Op, ProblemSpec, Request,
+    RequestKind, Status, PROTOCOL_VERSION,
 };
 pub use solver::{BackendChoice, BddCounters, Limits, Resource, SolveError, Telemetry};
 pub use workspace::Workspace;
-
-use executor::{lock, ObsCtx};
 
 /// Construction-time knobs of an [`Engine`].
 #[derive(Debug, Clone, Default)]
@@ -126,39 +129,25 @@ pub struct Counters {
     pub batches: u64,
 }
 
-/// The long-lived analysis service: workspace + worker analyzers + memo
-/// cache.
+/// The long-lived analysis service: workspace + worker pool + memo cache.
 ///
 /// One engine amortizes state across requests on three levels: the
-/// workspace keeps parsed queries and grammars, each worker's [`Analyzer`]
-/// keeps its formula arena and compiled type formulas across batches, and
-/// the memo cache keeps final verdicts keyed by the canonical structure of
-/// the problem.
+/// workspace keeps parsed queries and grammars, each pool worker's
+/// [`Analyzer`](analyzer::Analyzer) keeps its formula arena and compiled
+/// type formulas across requests, and the pool's memo cache keeps final
+/// verdicts keyed by the canonical structure of the problem. Dropping the
+/// engine closes the pool and joins its threads.
 #[derive(Debug)]
 pub struct Engine {
     workspace: Workspace,
-    /// Serves the sequential front end (`execute`): one more long-lived
-    /// arena, independent of the batch workers.
-    session: Analyzer,
-    /// One analyzer per batch worker thread, kept alive across batches.
-    workers: Vec<Analyzer>,
-    /// Verdict memo cache, keyed by the canonical problem *plus* the
-    /// backend that answered it: a symbolic verdict must never be served
-    /// for an explicit-backend request.
-    cache: Mutex<HashMap<Job, Verdict>>,
+    /// Runs every solve (and lint planning) of this engine.
+    pool: Pool,
     counters: Counters,
-    options: AnalyzerOptions,
+    /// Default backend for requests that do not name one.
+    backend: BackendChoice,
     /// Engine-default resource limits; per-request `"limits"` objects
     /// override them field-wise.
     limits: Limits,
-    /// Optional process-wide trace sink (`--trace-file`), cloned into
-    /// every per-solve recorder.
-    trace_sink: Option<Arc<dyn Sink>>,
-    /// Slow-solve capture threshold; `None` disables the slow log.
-    slow_solve_ms: Option<u64>,
-    /// Ring buffer of captured slow solves, shared by the sequential
-    /// front end and the batch workers.
-    slow_log: SlowLog,
     /// Per-line byte cap of the serve loop.
     max_line_bytes: usize,
 }
@@ -176,31 +165,31 @@ impl Engine {
     }
 
     /// An engine with explicit options.
+    ///
+    /// # Panics
+    ///
+    /// When the OS refuses to spawn the worker threads.
     pub fn with_config(config: EngineConfig) -> Engine {
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(16)
-        } else {
-            config.threads
-        };
-        let options = AnalyzerOptions {
-            backend: config.backend,
-            symbolic: config.options,
-        };
-        Engine {
-            workspace: Workspace::new(),
-            session: Analyzer::with_options(options.clone()),
-            workers: (0..threads)
-                .map(|_| Analyzer::with_options(options.clone()))
-                .collect(),
-            cache: Mutex::new(HashMap::new()),
-            counters: Counters::default(),
-            options,
-            limits: config.limits,
+        let pool = Pool::new(PoolConfig {
+            threads: config.threads,
+            // Every caller waits for the tasks it submits, so the queue
+            // never holds more than one task per worker.
+            queue_depth: usize::MAX,
+            options: AnalyzerOptions {
+                backend: config.backend,
+                symbolic: config.options,
+            },
             trace_sink: config.trace_sink,
             slow_solve_ms: config.slow_solve_ms,
-            slow_log: SlowLog::default(),
+            queue_gauge: "xsat_executor_queue_depth",
+        })
+        .expect("spawn the engine's worker threads");
+        Engine {
+            workspace: Workspace::new(),
+            pool,
+            counters: Counters::default(),
+            backend: config.backend,
+            limits: config.limits,
             max_line_bytes: if config.max_line_bytes == 0 {
                 framing::DEFAULT_MAX_LINE_BYTES
             } else {
@@ -212,22 +201,22 @@ impl Engine {
     /// The ring buffer of captured slow solves (empty unless
     /// [`EngineConfig::slow_solve_ms`] is set).
     pub fn slow_log(&self) -> &SlowLog {
-        &self.slow_log
+        self.pool.slow_log()
     }
 
     /// The configured slow-solve threshold, in milliseconds.
     pub fn slow_solve_ms(&self) -> Option<u64> {
-        self.slow_solve_ms
+        self.pool.slow_solve_ms()
     }
 
-    /// Number of batch worker threads.
+    /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.pool.threads()
     }
 
     /// The default backend for requests that do not name one.
     pub fn default_backend(&self) -> BackendChoice {
-        self.options.backend
+        self.backend
     }
 
     /// The default resource limits for requests that do not carry a
@@ -248,106 +237,35 @@ impl Engine {
 
     /// Number of memoized verdicts.
     pub fn cache_entries(&self) -> usize {
-        lock(&self.cache).len()
+        self.pool.memo_len()
     }
 
     /// Handles one request on the sequential front end (the `serve` path).
-    /// Decision problems share the memo cache with batch execution.
+    /// Registrations and decision problems run as a one-request batch, so
+    /// they share the memo cache and the solve path with batch execution.
     pub fn execute(&mut self, req: &Request) -> Value {
         self.counters.requests += 1;
+        let id = req.id.as_ref();
         match &req.kind {
-            RequestKind::RegisterDtd { name, source } => {
-                match self.workspace.register_dtd(name, source) {
-                    Ok(()) => registration_response(req.id.as_ref(), "dtd", name),
-                    Err(e) => self.error(req.id.as_ref(), &e),
-                }
-            }
-            RequestKind::RegisterQuery { name, xpath } => {
-                match self.workspace.register_query(name, xpath) {
-                    Ok(()) => registration_response(req.id.as_ref(), "query", name),
-                    Err(e) => self.error(req.id.as_ref(), &e),
-                }
-            }
-            RequestKind::Problem {
-                spec,
-                backend,
-                limits,
-                trace,
-            } => match spec.resolve(&self.workspace) {
-                Ok(problem) => {
-                    self.counters.problems += 1;
-                    let job = Job {
-                        problem,
-                        backend: backend.unwrap_or(self.options.backend),
-                    };
-                    let effective = limits
-                        .as_ref()
-                        .map_or_else(|| self.limits.clone(), |l| l.apply(&self.limits));
-                    let obs_ctx = ObsCtx {
-                        trace_sink: self.trace_sink.as_ref(),
-                        slow_ms: self.slow_solve_ms,
-                        slow_log: &self.slow_log,
-                    };
-                    let (rec, capture) = obs_ctx.recorder(*trace);
-                    let hit = lock(&self.cache).get(&job).cloned();
-                    note_memo_lookup(&rec, &job, hit.is_some());
-                    let (verdict, cached) = match hit {
-                        Some(v) => {
-                            self.counters.cache_hits += 1;
-                            (v, true)
-                        }
-                        None => {
-                            self.counters.cache_misses += 1;
-                            match run_job(&mut self.session, &job, &effective, &rec) {
-                                RunOutcome::Verdict(v) => {
-                                    lock(&self.cache).insert(job.clone(), v.clone());
-                                    (v, false)
-                                }
-                                RunOutcome::Unknown(u) => {
-                                    // An exhausted budget is never cached: a
-                                    // retry with bigger limits must re-solve.
-                                    self.counters.unknown += 1;
-                                    let events = capture.map(|m| m.drain()).unwrap_or_default();
-                                    obs_ctx.note_slow(&job, "unknown", u.wall_ms, &events);
-                                    let tr = trace.then(|| protocol::trace_value(&events));
-                                    return unknown_response(req.id.as_ref(), spec.op(), &u, tr);
-                                }
-                                RunOutcome::Error(e) => return self.error(req.id.as_ref(), &e),
-                            }
-                        }
-                    };
-                    let events = capture.map(|m| m.drain()).unwrap_or_default();
-                    if !cached {
-                        let status = if verdict.holds { "holds" } else { "fails" };
-                        obs_ctx.note_slow(&job, status, verdict.wall_ms, &events);
-                    }
-                    let tr = trace.then(|| protocol::trace_value(&events));
-                    let wall = if cached { 0.0 } else { verdict.wall_ms };
-                    verdict_response(req.id.as_ref(), spec.op(), &verdict, cached, wall, tr)
-                }
-                Err(e) => self.error(req.id.as_ref(), &e),
-            },
-            RequestKind::Lint(spec) => self.run_lint(req.id.as_ref(), spec),
-            RequestKind::Stats => self.stats_response(req.id.as_ref()),
-            RequestKind::Metrics => {
-                protocol::metrics_response(req.id.as_ref(), &obs::metrics().snapshot())
-            }
+            RequestKind::RegisterDtd { .. }
+            | RequestKind::RegisterQuery { .. }
+            | RequestKind::Problem { .. } => self
+                .run_requests(std::slice::from_ref(req))
+                .responses
+                .pop()
+                .unwrap_or_else(|| error_response(id, "internal: the request was never answered")),
+            RequestKind::Lint(spec) => self.run_lint(id, spec),
+            RequestKind::Stats => self.stats_response(id),
+            RequestKind::Metrics => protocol::metrics_response(id, &obs::metrics().snapshot()),
             RequestKind::SlowLog => protocol::slowlog_response(
-                req.id.as_ref(),
-                self.slow_solve_ms,
-                &self.slow_log.entries(),
+                id,
+                self.pool.slow_solve_ms(),
+                &self.pool.slow_log().entries(),
             ),
             RequestKind::Reset => {
                 self.workspace.clear();
-                lock(&self.cache).clear();
-                self.slow_log.clear();
-                // Fresh arenas: a long-running service can shed the formula
-                // and BDD state accumulated by previous workloads.
-                self.session = Analyzer::with_options(self.options.clone());
-                for w in &mut self.workers {
-                    *w = Analyzer::with_options(self.options.clone());
-                }
-                registration_response(req.id.as_ref(), "reset", "engine")
+                self.pool.reset();
+                registration_response(id, "reset", "engine")
             }
         }
     }
@@ -365,23 +283,23 @@ impl Engine {
     /// come back in request order. See [`BatchOutcome`] for the result
     /// shape.
     pub fn run_batch(&mut self, requests: &[Request]) -> BatchOutcome {
-        let obs_ctx = ObsCtx {
-            trace_sink: self.trace_sink.as_ref(),
-            slow_ms: self.slow_solve_ms,
-            slow_log: &self.slow_log,
-        };
-        let outcome = executor::run_batch(
-            &mut self.workspace,
-            &mut self.workers,
-            &self.options,
-            &self.cache,
-            self.options.backend,
-            &self.limits,
-            &obs_ctx,
-            requests,
-        );
+        let outcome = self.run_requests(requests);
         self.counters.batches += 1;
         self.counters.requests += outcome.stats.requests as u64;
+        outcome
+    }
+
+    /// The batch path shared by [`Engine::run_batch`] and
+    /// [`Engine::execute`], folding everything but the request and batch
+    /// tallies into the counters.
+    fn run_requests(&mut self, requests: &[Request]) -> BatchOutcome {
+        let outcome = executor::run_batch(
+            &mut self.workspace,
+            &self.pool,
+            self.backend,
+            &self.limits,
+            requests,
+        );
         self.counters.problems += outcome.stats.problems as u64;
         self.counters.cache_hits += outcome.stats.cache_hits as u64;
         self.counters.cache_misses += outcome.stats.cache_misses as u64;
@@ -466,10 +384,10 @@ impl Engine {
         }
     }
 
-    /// Handles a `lint` request: plan on the sequential analyzer, fan the
-    /// probes out over the batch workers (sharing the verdict memo cache,
-    /// so a lint run warms the cache for later decision traffic and vice
-    /// versa), then judge the outcomes into diagnostics.
+    /// Handles a `lint` request: plan on a pool worker, solve the probes
+    /// on the pool (sharing the verdict memo cache, so a lint run warms
+    /// the cache for later decision traffic and vice versa), then judge
+    /// the outcomes into diagnostics.
     fn run_lint(&mut self, id: Option<&Value>, spec: &protocol::LintSpec) -> Value {
         let started = std::time::Instant::now();
         let config = spec.config();
@@ -485,29 +403,21 @@ impl Engine {
             .into_iter()
             .map(|(n, d)| (n.to_owned(), d))
             .collect();
-        let plan = match lint::plan(&mut self.session, &queries, &dtds, &config) {
-            Ok(plan) => plan,
-            Err(e) => return self.error(id, &e),
+        let planned = self
+            .pool
+            .run(move |w| lint::plan(w.analyzer(), &queries, &dtds, &config));
+        let plan = match planned {
+            Some(Ok(plan)) => plan,
+            Some(Err(e)) => return self.error(id, &e),
+            None => return self.error(id, "internal: lint planning panicked on a worker"),
         };
-        let backend = spec.backend.unwrap_or(self.options.backend);
+        let backend = spec.backend.unwrap_or(self.backend);
         let effective = spec
             .limits
             .as_ref()
             .map_or_else(|| self.limits.clone(), |l| l.apply(&self.limits));
-        let obs_ctx = ObsCtx {
-            trace_sink: self.trace_sink.as_ref(),
-            slow_ms: self.slow_solve_ms,
-            slow_log: &self.slow_log,
-        };
-        let (outcomes, probe_stats) = executor::solve_probes(
-            &mut self.workers,
-            &self.options,
-            &self.cache,
-            backend,
-            &effective,
-            &obs_ctx,
-            &plan.probes,
-        );
+        let (outcomes, probe_stats) =
+            executor::solve_probes(&self.pool, backend, &effective, &plan.probes);
         self.counters.problems += plan.probes.len() as u64;
         self.counters.cache_hits += probe_stats.hits as u64;
         self.counters.cache_misses += probe_stats.misses as u64;
@@ -535,7 +445,7 @@ impl Engine {
             ("ok", Value::Bool(true)),
             ("op", Value::from("stats")),
             ("protocol", Value::from(protocol::PROTOCOL_VERSION as usize)),
-            ("backend", Value::from(self.options.backend.as_str())),
+            ("backend", Value::from(self.backend.as_str())),
             ("threads", Value::from(self.threads())),
             ("dtds", Value::from(self.workspace.dtd_count())),
             ("queries", Value::from(self.workspace.query_count())),

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use analyzer::{BackendChoice, Limits, Telemetry};
 
 use crate::json::{obj, Value};
-use crate::problem::{CounterExample, Problem, UnknownVerdict, Verdict};
+use crate::problem::{CounterExample, Job, Problem, RunOutcome, UnknownVerdict, Verdict};
 use crate::workspace::Workspace;
 
 /// The protocol version spoken by this engine, echoed on `stats`
@@ -465,6 +465,24 @@ impl LimitsSpec {
     }
 }
 
+/// Turns a resolved decision request into its memo key and the limits
+/// its solve runs under: the request's own backend and `limits` object
+/// where it carries them, the caller's defaults otherwise.
+pub fn job_and_limits(
+    problem: Problem,
+    backend: Option<BackendChoice>,
+    limits: Option<&LimitsSpec>,
+    default_backend: BackendChoice,
+    default_limits: &Limits,
+) -> (Job, Limits) {
+    let job = Job {
+        problem,
+        backend: backend.unwrap_or(default_backend),
+    };
+    let limits = limits.map_or_else(|| default_limits.clone(), |l| l.apply(default_limits));
+    (job, limits)
+}
+
 impl Request {
     /// Parses one JSON-line request.
     pub fn parse(line: &str) -> Result<Request, String> {
@@ -711,6 +729,26 @@ pub fn verdict_response(
         fields.push(("trace", trace));
     }
     obj(fields)
+}
+
+/// Builds the response to a decision problem from its outcome. A
+/// `cached` verdict reports `wall_ms` 0: serving it cost nothing, and the
+/// stored time describes the original run.
+pub fn outcome_response(
+    id: Option<&Value>,
+    op: Op,
+    outcome: &RunOutcome,
+    cached: bool,
+    trace: Option<Value>,
+) -> Value {
+    match outcome {
+        RunOutcome::Verdict(v) => {
+            let wall_ms = if cached { 0.0 } else { v.wall_ms };
+            verdict_response(id, op, v, cached, wall_ms, trace)
+        }
+        RunOutcome::Unknown(u) => unknown_response(id, op, u, trace),
+        RunOutcome::Error(e) => error_response(id, e),
+    }
 }
 
 /// Builds the `"status":"unknown"` response for a budget-exhausted solve:

@@ -3,11 +3,11 @@
 //!
 //! The reader assigns every handled line a connection-local sequence
 //! number and answers it exactly once — inline for registrations and
-//! service ops (preserving registration order), through the worker pool
-//! for decision problems. The writer receives `(seq, response)` pairs in
-//! completion order and writes them in *sequence* order, so pipelined
-//! clients always read responses in the order they sent requests, however
-//! the solves interleaved.
+//! service ops (preserving registration order), as a task on the
+//! server's [`engine::Pool`] for decision problems and fault ops. The
+//! writer receives `(seq, response)` pairs in completion order and writes
+//! them in *sequence* order, so pipelined clients always read responses
+//! in the order they sent requests, however the solves interleaved.
 //!
 //! Hostile-peer bounds all live on the reader: the per-line byte cap
 //! (oversized lines cost one `error` response), lossy UTF-8 decoding
@@ -20,15 +20,17 @@ use std::io::{BufReader, BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
+use std::time::Instant;
 
 use engine::{
-    error_response, json, metrics_response, read_framed, registration_response, Framed, Job,
-    LimitsSpec, Request, RequestKind, Value, PROTOCOL_VERSION,
+    error_response, job_and_limits, json, metrics_response, outcome_response, read_framed,
+    registration_response, unknown_response, BackendChoice, Framed, Op, Request, RequestKind, Task,
+    UnknownVerdict, Value, PROTOCOL_VERSION,
 };
 
+use crate::fault::FaultKind;
 use crate::server::{LifeState, Shared};
-use crate::tenant::Tenant;
-use crate::worker::{shed_response, FaultKind, FaultUnit, SolveUnit, WorkUnit};
+use crate::tenant::{InflightGuard, Tenant};
 use crate::DEFAULT_TENANT;
 
 /// What the reader does after answering a line.
@@ -202,7 +204,7 @@ fn handle_line(
     }
 }
 
-/// Admission for a fault-injection unit: the same tenant cap and queue
+/// Admission for a fault-injection op: the same tenant cap and queue
 /// bound as a real solve — a saturating `sleep` burst is exactly how the
 /// harness tests the shed path.
 fn admit_fault(
@@ -216,23 +218,21 @@ fn admit_fault(
     let send = |response: Value| {
         let _ = tx.send((seq, response));
     };
-    let op_name = match kind {
-        FaultKind::Panic => "panic",
-        FaultKind::Sleep { .. } => "sleep",
-    };
+    let op_name = kind.op_name();
     let Some(guard) = admit(shared, tenant) else {
         send(fault_shed(shared, tenant, id.as_ref(), op_name));
         return;
     };
-    let unit = WorkUnit::Fault(FaultUnit {
-        kind,
-        id,
-        seq,
-        reply: tx.clone(),
-        guard,
+    let (task_id, reply) = (id.clone(), tx.clone());
+    let task: Task = Box::new(move |w| {
+        let response = kind.run(w, task_id.as_ref(), &guard.tenant().limits.cancel);
+        let _ = reply.send((seq, response));
+        drop(guard);
     });
-    if let Err((WorkUnit::Fault(u), _)) = shared.queue.try_push(unit) {
-        send(fault_shed(shared, tenant, u.id.as_ref(), op_name));
+    // The refused task, and with it the in-flight slot, stays alive while
+    // the shed scope is read.
+    if let Err(_refused) = shared.pool.try_submit(task) {
+        send(fault_shed(shared, tenant, id.as_ref(), op_name));
     }
 }
 
@@ -278,15 +278,42 @@ fn shed_scope(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> (&'static str, u64,
     } else {
         (
             "queue",
-            shared.queue.len() as u64,
-            shared.queue.capacity() as u64,
+            shared.pool.queue_len() as u64,
+            shared.pool.queue_capacity() as u64,
         )
     }
 }
 
+/// A shed verdict: the typed `unknown` an over-admitted request gets
+/// instead of unbounded queueing. `scope` names which bound fired
+/// (`queue`, `tenant`, or `drain`); `spent`/`limit` report that bound.
+/// Sheds are never memo-cached and are counted in `xsat_shed_total`.
+fn shed_response(
+    id: Option<&Value>,
+    op: Op,
+    backend: BackendChoice,
+    (scope, spent, limit): (&'static str, u64, u64),
+) -> Value {
+    obs::metrics()
+        .counter("xsat_shed_total", &[("scope", scope)])
+        .inc();
+    let unknown = UnknownVerdict {
+        resource: "shed",
+        spent,
+        limit,
+        reason: format!(
+            "request shed by admission control ({scope} bound {limit} reached); \
+             retry against a less loaded server"
+        ),
+        backend,
+        wall_ms: 0.0,
+    };
+    unknown_response(id, op, &unknown, None)
+}
+
 /// Takes a tenant in-flight slot if the server is running and the tenant
 /// is under its cap.
-fn admit(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> Option<crate::tenant::InflightGuard> {
+fn admit(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> Option<InflightGuard> {
     if shared.state() != LifeState::Running {
         return None;
     }
@@ -325,7 +352,6 @@ fn handle_request(
             limits,
             trace,
         } => {
-            let backend = backend.unwrap_or(shared.config.backend);
             let op = spec.op();
             // Resolve against the tenant's namespace *before* admission:
             // the memo key is structural, so tenants can never alias.
@@ -343,42 +369,46 @@ fn handle_request(
                     return;
                 }
             };
+            let (job, limits) = job_and_limits(
+                problem,
+                backend,
+                limits.as_ref(),
+                shared.config.backend,
+                &tenant.limits,
+            );
+            let backend = job.backend;
             let Some(guard) = admit(shared, tenant) else {
-                let (scope, spent, limit) = shed_scope(shared, tenant);
-                send(shed_response(
-                    req.id.as_ref(),
-                    op,
-                    backend,
-                    scope,
-                    spent,
-                    limit,
-                ));
+                let scope = shed_scope(shared, tenant);
+                send(shed_response(req.id.as_ref(), op, backend, scope));
                 return;
             };
-            let effective = limits.as_ref().map_or_else(
-                || tenant.limits.clone(),
-                |l: &LimitsSpec| l.apply(&tenant.limits),
-            );
-            let unit = WorkUnit::Solve(Box::new(SolveUnit {
-                job: Job { problem, backend },
-                limits: effective,
-                trace,
-                id: req.id.clone(),
-                op,
-                seq,
-                reply: tx.clone(),
-                guard,
-            }));
-            if let Err((WorkUnit::Solve(u), _)) = shared.queue.try_push(unit) {
-                let (scope, spent, limit) = shed_scope(shared, tenant);
-                send(shed_response(
-                    u.id.as_ref(),
-                    u.op,
-                    backend,
-                    scope,
-                    spent,
-                    limit,
-                ));
+            let (id, reply) = (req.id.clone(), tx.clone());
+            let task: Task = Box::new(move |w| {
+                let started = Instant::now();
+                let solved = w.solve(&job, &limits, trace);
+                let response = outcome_response(
+                    id.as_ref(),
+                    op,
+                    &solved.outcome,
+                    solved.cached,
+                    solved.trace,
+                );
+                obs::metrics()
+                    .histogram("xsat_serve_solve_ms", &[])
+                    .observe_ms(started.elapsed().as_secs_f64() * 1000.0);
+                // A send error means the connection died mid-request; the
+                // verdict is simply dropped (it is already memo-cached if
+                // definite).
+                let _ = reply.send((seq, response));
+                // Released only once the response is handed over, so a
+                // drain that sees zero in flight has delivered everything.
+                drop(guard);
+            });
+            // The refused task, and with it the in-flight slot, stays
+            // alive while the shed scope is read.
+            if let Err(_refused) = shared.pool.try_submit(task) {
+                let scope = shed_scope(shared, tenant);
+                send(shed_response(req.id.as_ref(), op, backend, scope));
             }
         }
         RequestKind::Stats => send(stats_response(shared, tenant, req.id.as_ref())),
@@ -434,16 +464,19 @@ fn stats_response(shared: &Arc<Shared>, tenant: &Arc<Tenant>, id: Option<&Value>
             "tenant_inflight_cap".to_owned(),
             Value::from(tenant.max_inflight),
         ),
-        ("queue_depth".to_owned(), Value::from(shared.queue.len())),
+        (
+            "queue_depth".to_owned(),
+            Value::from(shared.pool.queue_len()),
+        ),
         (
             "queue_capacity".to_owned(),
-            Value::from(shared.queue.capacity()),
+            Value::from(shared.pool.queue_capacity()),
         ),
         (
             "connections_active".to_owned(),
             Value::from(shared.active_connections()),
         ),
-        ("threads".to_owned(), Value::from(shared.threads)),
+        ("threads".to_owned(), Value::from(shared.pool.threads())),
         (
             "draining".to_owned(),
             Value::Bool(shared.state() != LifeState::Running),

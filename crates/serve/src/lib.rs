@@ -7,13 +7,14 @@
 //! One accept loop feeds a bounded connection pool; each connection gets
 //! a reader thread (framed, bounded, timeout-guarded reads) and a writer
 //! thread (responses written in request order, whatever order the solves
-//! finish in); decision problems fan out over a shared pool of worker
-//! threads, each owning a long-lived analyzer, all sharing one structural
-//! memo cache.
+//! finish in); decision problems run as tasks on an [`engine::Pool`] —
+//! the same worker pool the engine's batch path uses — whose worker
+//! threads each own a long-lived analyzer and share one structural memo
+//! cache.
 //!
 //! Robustness is the design axis, threaded through every layer:
 //!
-//! - **Admission control**: the request queue is bounded.
+//! - **Admission control**: the pool's task queue is bounded.
 //!   When it is full — or a tenant is at its in-flight cap, or the server
 //!   is draining — the request is rejected *immediately* with
 //!   `status: "unknown", resource: "shed"` instead of queuing unboundedly.
@@ -25,8 +26,8 @@
 //!   resolved to structural ASTs before they reach the shared memo cache.
 //!   Each tenant carries its own default [`Limits`] and an in-flight cap
 //!   so one tenant cannot starve the rest.
-//! - **Failure containment**: every solve runs under
-//!   [`engine::run_job_contained`] — a panicking solve degrades to one
+//! - **Failure containment**: every solve runs as
+//!   [`engine::Worker::solve`] — a panicking solve degrades to one
 //!   `error` response, increments `xsat_worker_panics_total`, and rebuilds
 //!   that worker's analyzer; the worker thread never dies. Hostile or
 //!   broken clients are bounded too: per-line byte caps (oversized lines
@@ -55,11 +56,11 @@
 #![warn(missing_docs)]
 
 mod conn;
-mod queue;
+mod fault;
 mod server;
 mod tenant;
-mod worker;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 use engine::BackendChoice;
@@ -145,3 +146,9 @@ impl Default for ServerConfig {
 /// The tenant name requests fall back to when they carry no `tenant`
 /// field — single-tenant deployments never need to name one.
 pub const DEFAULT_TENANT: &str = "default";
+
+/// Locks ignoring poisoning: a panicked thread must not wedge admission
+/// or the lifecycle.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -20,14 +20,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use analyzer::AnalyzerOptions;
-use engine::{Job, Verdict};
+use engine::{Pool, PoolConfig};
 use solver::CancelToken;
 
 use crate::conn::handle_connection;
-use crate::queue::Queue;
 use crate::tenant::{Inflight, Tenants};
-use crate::worker::{lock, worker_loop, WorkUnit};
-use crate::ServerConfig;
+use crate::{lock, ServerConfig};
 
 /// The lifecycle ladder (one-way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,25 +50,19 @@ pub struct DrainReport {
     pub pending: usize,
 }
 
-/// State shared by the accept loop, every connection, and every worker.
+/// State shared by the accept loop and every connection.
 pub(crate) struct Shared {
     /// The construction-time configuration.
     pub config: ServerConfig,
-    /// Analyzer construction options (worker rebuilds after a contained
-    /// panic use these).
-    pub options: AnalyzerOptions,
-    /// The bounded admission queue.
-    pub queue: Queue<WorkUnit>,
+    /// The worker pool: its bounded queue is the admission queue, and
+    /// its memo is the structural verdict cache shared by every tenant.
+    pub pool: Pool,
     /// The tenant registry.
     pub tenants: Tenants,
-    /// The shared structural memo cache.
-    pub cache: Mutex<HashMap<Job, Verdict>>,
     /// The server-wide in-flight tally the drain waits on.
     pub inflight: Arc<Inflight>,
     /// The armed cancel token cloned into every admitted job's limits.
     pub drain: CancelToken,
-    /// Worker-thread count (for `stats`).
-    pub threads: usize,
     state: Mutex<LifeState>,
     state_cv: Condvar,
     /// Read-half clones of every live connection, keyed by connection id,
@@ -115,9 +107,9 @@ impl Shared {
             }
         }
         // Admission closes: readers shed new problems (state check), and
-        // the queue refuses racing pushes while workers drain its backlog
-        // and exit.
-        self.queue.close();
+        // the pool refuses racing submissions while workers drain its
+        // backlog and exit.
+        self.pool.close();
         let mut forced = false;
         let mut drained = self.inflight.wait_zero(self.config.drain_deadline);
         if !drained {
@@ -167,7 +159,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -178,42 +169,31 @@ impl Server {
     pub fn bind(config: ServerConfig, addr: &str) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let threads = if config.threads == 0 {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(16)
-        } else {
-            config.threads
-        };
-        let options = AnalyzerOptions {
-            backend: config.backend,
-            ..AnalyzerOptions::default()
-        };
+        let pool = Pool::new(PoolConfig {
+            threads: config.threads,
+            queue_depth: config.queue_depth,
+            options: AnalyzerOptions {
+                backend: config.backend,
+                ..AnalyzerOptions::default()
+            },
+            trace_sink: None,
+            slow_solve_ms: None,
+            queue_gauge: "xsat_serve_queue_depth",
+        })?;
         let drain = CancelToken::armed();
         let shared = Arc::new(Shared {
-            queue: Queue::new(config.queue_depth),
+            pool,
             tenants: Tenants::new(&config, &drain),
-            cache: Mutex::new(HashMap::new()),
             inflight: Arc::new(Inflight::new()),
             drain,
-            threads,
             state: Mutex::new(LifeState::Running),
             state_cv: Condvar::new(),
             conns: Mutex::new(HashMap::new()),
             conn_seq: AtomicUsize::new(0),
             active: AtomicUsize::new(0),
             addr,
-            options,
             config,
         });
-        let workers = (0..threads)
-            .map(|i| {
-                let shared = shared.clone();
-                std::thread::Builder::new()
-                    .name(format!("serve-worker-{i}"))
-                    .spawn(move || worker_loop(&shared.queue, &shared.cache, &shared.options))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
         let accept = {
             let shared = shared.clone();
             std::thread::Builder::new()
@@ -224,7 +204,6 @@ impl Server {
             shared,
             addr,
             accept: Some(accept),
-            workers,
         })
     }
 
@@ -259,9 +238,7 @@ impl Server {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.shared.pool.shutdown();
         // Connection threads are detached; give their writers a bounded
         // window to flush and close (they exit on the socket shutdown).
         let deadline = std::time::Instant::now() + self.shared.config.drain_deadline;

@@ -20,7 +20,7 @@ use std::time::Duration;
 use engine::Workspace;
 use solver::{CancelToken, Limits};
 
-use crate::{ServerConfig, DEFAULT_TENANT};
+use crate::{lock, ServerConfig, DEFAULT_TENANT};
 
 /// The server-wide count of admitted-but-unanswered requests, with a
 /// condition variable so a draining shutdown can wait for zero.
@@ -64,10 +64,6 @@ impl Inflight {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         *n == 0
     }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// One tenant: a workspace namespace with its own limits and cap.
@@ -199,10 +195,7 @@ impl Tenants {
 
     /// Resolves (creating on first use) the tenant named `name`.
     pub(crate) fn resolve(&self, name: &str) -> Arc<Tenant> {
-        let mut map = self
-            .map
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut map = lock(&self.map);
         if let Some(t) = map.get(name) {
             return t.clone();
         }

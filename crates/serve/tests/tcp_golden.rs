@@ -55,16 +55,19 @@ fn shed_under_full_queue_is_typed_unknown_and_never_cached() {
     let mut control = Client::connect(&server);
     let mut c = Client::connect(&server);
 
+    let at = |inflight: f64, depth: f64| {
+        move |st: &Value| {
+            st.get("tenant_inflight").and_then(Value::as_f64) == Some(inflight)
+                && st.get("queue_depth").and_then(Value::as_f64) == Some(depth)
+        }
+    };
     c.send(r#"{"id":"s1","op":"sleep","ms":600}"#);
     // Wait (on a separate control connection — responses are ordered per
-    // connection) until the worker has taken the first sleep.
-    wait_stats(&mut control, |st| {
-        st.get("queue_depth").and_then(Value::as_f64) == Some(0.0)
-    });
+    // connection) until the first sleep is admitted *and* the worker has
+    // taken it: an empty queue alone also holds before admission.
+    wait_stats(&mut control, at(1.0, 0.0));
     c.send(r#"{"id":"s2","op":"sleep","ms":600}"#);
-    wait_stats(&mut control, |st| {
-        st.get("queue_depth").and_then(Value::as_f64) == Some(1.0)
-    });
+    wait_stats(&mut control, at(2.0, 1.0));
 
     // Queue full: this solve is shed immediately with a typed unknown —
     // on a fresh line of traffic (the control connection), so the

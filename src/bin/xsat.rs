@@ -11,6 +11,7 @@
 //! LIMITS: [--timeout-ms N] [--max-bdd-nodes N] [--max-lean N]
 //! SERVE:  [--max-connections N] [--queue-depth N] [--tenant-inflight N]
 //!         [--drain-ms N] [--read-timeout-ms N] [--max-line-bytes N]
+//!         (all but --max-line-bytes need --tcp; --tcp takes no OBS flags)
 //! ```
 //!
 //! `check` decides satisfiability (default) or emptiness of one query,
@@ -134,7 +135,8 @@ USAGE:
       \"tenant\"), and graceful drain on the `shutdown` request. See
       docs/SERVING.md.
 
-Serving tier (SERVE, with serve --tcp only):
+Serving tier (SERVE; all but --max-line-bytes need --tcp, and serve --tcp
+rejects the OBS flags):
   --max-connections N  concurrent-connection bound (default 64); excess
                        connections get one error line and are closed
   --queue-depth N      admission queue bound (default 256); requests
@@ -363,6 +365,7 @@ fn engine_with(threads: usize, opts: &Opts) -> Result<Engine, String> {
         limits: opts.limits.clone(),
         trace_sink,
         slow_solve_ms: opts.slow_ms,
+        max_line_bytes: opts.max_line_bytes.unwrap_or(0),
         ..EngineConfig::default()
     }))
 }
@@ -672,8 +675,25 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         return Err("serve takes no positional arguments".into());
     }
     if let Some(addr) = &opts.tcp {
+        reject_given(
+            "does not apply to `xsat serve --tcp`",
+            &[
+                ("--trace-file", opts.trace_file.is_some()),
+                ("--slow-ms", opts.slow_ms.is_some()),
+            ],
+        )?;
         return serve_tcp(addr, &opts);
     }
+    reject_given(
+        "only applies to `xsat serve --tcp`",
+        &[
+            ("--max-connections", opts.max_connections.is_some()),
+            ("--queue-depth", opts.queue_depth.is_some()),
+            ("--tenant-inflight", opts.tenant_inflight.is_some()),
+            ("--drain-ms", opts.drain_ms.is_some()),
+            ("--read-timeout-ms", opts.read_timeout_ms.is_some()),
+        ],
+    )?;
     let mut engine = engine_with(opts.threads, &opts)?;
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
@@ -681,6 +701,15 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
         .serve(stdin.lock(), stdout.lock())
         .map_err(|e| e.to_string())?;
     Ok(ExitCode::SUCCESS)
+}
+
+/// Fails naming the first of `flags` that was given: the serve mode
+/// would otherwise ignore it silently.
+fn reject_given(why: &str, flags: &[(&str, bool)]) -> Result<(), String> {
+    match flags.iter().find(|(_, given)| *given) {
+        Some((flag, _)) => Err(format!("{flag} {why}")),
+        None => Ok(()),
+    }
 }
 
 /// Boots the TCP serving tier on `addr` and blocks until a client's

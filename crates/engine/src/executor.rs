@@ -4,25 +4,25 @@
 //! request order during a sequential resolution pass (each decision problem
 //! snapshots `Arc` handles to the artifacts it references, so later
 //! rebindings cannot affect earlier problems). The resolved problems are
-//! then deduplicated on their canonical structural key — the problem, the
-//! backend it runs on, its effective limits and its trace flag — and
-//! solved on the engine's [`Pool`]. Duplicate occurrences and problems
-//! already solved earlier are served from the pool's memo and reported
-//! with `"cached":true`. `unknown` verdicts (exhausted budgets) and
-//! solver-level failures (rejected witnesses) become per-request
-//! responses and are **never** cached — a retry with bigger limits must
-//! re-solve. Lint probes take the same dedup-and-solve path.
+//! then deduplicated on their canonical structural key — the problem, its
+//! effective limits and its trace flag — and solved on the engine's
+//! [`Pool`]. Duplicate occurrences and problems already solved earlier
+//! are served from the pool's memo and reported with `"cached":true`.
+//! `unknown` verdicts (exhausted budgets) and solver-level failures
+//! (rejected witnesses) become per-request responses and are **never**
+//! cached — a retry with bigger limits must re-solve. Lint probes take
+//! the same dedup-and-solve path.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use analyzer::{BackendChoice, Limits};
+use analyzer::Limits;
 
 use crate::json::{obj, Value};
 use crate::pool::{Pool, WorkItem};
-use crate::problem::{duration_ms, Job, RunOutcome};
+use crate::problem::{duration_ms, RunOutcome};
 use crate::protocol::{
-    error_response, job_and_limits, outcome_response, registration_response, Op, Request,
+    effective_limits, error_response, outcome_response, registration_response, Op, Request,
     RequestKind,
 };
 use crate::workspace::Workspace;
@@ -148,7 +148,6 @@ impl Dedup {
 pub(crate) fn run_batch(
     workspace: &mut Workspace,
     pool: &Pool,
-    default_backend: BackendChoice,
     default_limits: &Limits,
     requests: &[Request],
 ) -> BatchOutcome {
@@ -175,22 +174,14 @@ pub(crate) fn run_batch(
                 .map(|()| registration_response(id, "query", name)),
             RequestKind::Problem {
                 spec,
-                backend,
                 limits,
                 trace,
             } => match spec.resolve(workspace) {
                 Ok(problem) => {
                     stats.problems += 1;
-                    let (job, limits) = job_and_limits(
-                        problem,
-                        *backend,
-                        limits.as_ref(),
-                        default_backend,
-                        default_limits,
-                    );
                     let (item, duplicate) = work.insert(WorkItem {
-                        job,
-                        limits,
+                        problem,
+                        limits: effective_limits(limits.as_ref(), default_limits),
                         trace: *trace,
                     });
                     pending.push(PendingProblem {
@@ -299,22 +290,18 @@ pub(crate) struct ProbeStats {
 /// in probe order.
 pub(crate) fn solve_probes(
     pool: &Pool,
-    backend: BackendChoice,
     limits: &Limits,
     probes: &[lint::Probe],
 ) -> (Vec<lint::ProbeOutcome>, ProbeStats) {
     // Distinct rules frequently pose the same problem (a step prefix
-    // shared by dead-step and contradiction probes); each unique job
+    // shared by dead-step and contradiction probes); each unique problem
     // runs once.
     let mut work = Dedup::default();
     let slots: Vec<(usize, bool)> = probes
         .iter()
         .map(|probe| {
             work.insert(WorkItem {
-                job: Job {
-                    problem: probe.problem.clone(),
-                    backend,
-                },
+                problem: probe.problem.clone(),
                 limits: limits.clone(),
                 trace: false,
             })

@@ -186,11 +186,18 @@ impl fmt::Display for ParseJsonError {
 
 impl std::error::Error for ParseJsonError {}
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// How deeply arrays and objects may nest. The protocol needs three
+/// levels; the cap keeps a hostile line of brackets from overflowing the
+/// recursive parser's stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and so
+/// is nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseJsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -204,6 +211,8 @@ pub fn parse(input: &str) -> Result<Value, ParseJsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -248,8 +257,11 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseJsonError> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') if self.eat_word("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_word("false") => Ok(Value::Bool(false)),
@@ -257,6 +269,16 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Value, ParseJsonError>,
+    ) -> Result<Value, ParseJsonError> {
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, ParseJsonError> {
@@ -355,13 +377,18 @@ impl Parser<'_> {
                 }
                 Some(&b) if b < 0x20 => return Err(self.err("control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the whole run of plain characters at once, so a
+                    // long string costs linear time. The input is a &str
+                    // and the run ends before an ASCII byte, so the run is
+                    // whole UTF-8.
+                    let start = self.pos;
+                    self.pos += self.bytes[start..]
+                        .iter()
+                        .take_while(|&&b| b >= 0x20 && b != b'"' && b != b'\\')
+                        .count();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -462,6 +489,29 @@ mod tests {
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"\\q\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        let e = parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert!(
+            e.to_string().contains("nesting deeper than 128 levels"),
+            "{e}"
+        );
+        // Far past the cap, unterminated: still a typed error.
+        assert!(parse(&"[{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let long = "é".repeat(1 << 20);
+        let v = parse(&format!("{{\"s\":\"{long}\\n{long}\"}}")).unwrap();
+        assert_eq!(
+            v.get("s").and_then(Value::as_str).map(str::len),
+            Some(4 << 20 | 1)
+        );
     }
 
     #[test]

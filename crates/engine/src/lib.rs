@@ -61,24 +61,21 @@ mod executor;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
-use analyzer::AnalyzerOptions;
-use solver::SymbolicOptions;
-
 pub use executor::{BatchOutcome, BatchStats};
 pub use framing::{read_framed, Framed, DEFAULT_MAX_LINE_BYTES};
 pub use json::Value;
 pub use obs::{JsonlSink, MemorySink, Recorder, Sink, SlowEntry, SlowLog};
 pub use pool::{Pool, PoolConfig, Solved, Task, Worker};
 pub use problem::{
-    run_job, CounterExample, Job, Problem, RunOutcome, UnknownVerdict, Verdict, VerdictStats,
+    run_problem, CounterExample, Problem, RunOutcome, UnknownVerdict, Verdict, VerdictStats,
 };
 pub use protocol::{
-    counterexample_value, error_response, event_value, job_and_limits, lint_response,
+    counterexample_value, effective_limits, error_response, event_value, lint_response,
     metrics_response, outcome_response, registration_response, slowlog_response, trace_value,
     unknown_response, verdict_response, LimitsSpec, LintSpec, Op, ProblemSpec, Request,
-    RequestKind, Status, PROTOCOL_VERSION,
+    RequestKind, Status, BACKEND, PROTOCOL_VERSION,
 };
-pub use solver::{BackendChoice, BddCounters, Limits, Resource, SolveError, Telemetry};
+pub use solver::{BddCounters, Limits, Resource, SolveError, Telemetry};
 pub use workspace::Workspace;
 
 /// Construction-time knobs of an [`Engine`].
@@ -87,10 +84,6 @@ pub struct EngineConfig {
     /// Worker threads for batch execution; `0` picks the machine's
     /// available parallelism (capped at 16).
     pub threads: usize,
-    /// Symbolic-solver options, cloned into every worker.
-    pub options: SymbolicOptions,
-    /// Default solver backend for requests that do not name one.
-    pub backend: BackendChoice,
     /// Default resource limits for requests that do not carry a
     /// `"limits"` object; per-request limits override field-wise.
     pub limits: Limits,
@@ -143,8 +136,6 @@ pub struct Engine {
     /// Runs every solve (and lint planning) of this engine.
     pool: Pool,
     counters: Counters,
-    /// Default backend for requests that do not name one.
-    backend: BackendChoice,
     /// Engine-default resource limits; per-request `"limits"` objects
     /// override them field-wise.
     limits: Limits,
@@ -175,10 +166,6 @@ impl Engine {
             // Every caller waits for the tasks it submits, so the queue
             // never holds more than one task per worker.
             queue_depth: usize::MAX,
-            options: AnalyzerOptions {
-                backend: config.backend,
-                symbolic: config.options,
-            },
             trace_sink: config.trace_sink,
             slow_solve_ms: config.slow_solve_ms,
             queue_gauge: "xsat_executor_queue_depth",
@@ -188,7 +175,6 @@ impl Engine {
             workspace: Workspace::new(),
             pool,
             counters: Counters::default(),
-            backend: config.backend,
             limits: config.limits,
             max_line_bytes: if config.max_line_bytes == 0 {
                 framing::DEFAULT_MAX_LINE_BYTES
@@ -212,11 +198,6 @@ impl Engine {
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
         self.pool.threads()
-    }
-
-    /// The default backend for requests that do not name one.
-    pub fn default_backend(&self) -> BackendChoice {
-        self.backend
     }
 
     /// The default resource limits for requests that do not carry a
@@ -293,13 +274,7 @@ impl Engine {
     /// [`Engine::execute`], folding everything but the request and batch
     /// tallies into the counters.
     fn run_requests(&mut self, requests: &[Request]) -> BatchOutcome {
-        let outcome = executor::run_batch(
-            &mut self.workspace,
-            &self.pool,
-            self.backend,
-            &self.limits,
-            requests,
-        );
+        let outcome = executor::run_batch(&mut self.workspace, &self.pool, &self.limits, requests);
         self.counters.problems += outcome.stats.problems as u64;
         self.counters.cache_hits += outcome.stats.cache_hits as u64;
         self.counters.cache_misses += outcome.stats.cache_misses as u64;
@@ -411,13 +386,8 @@ impl Engine {
             Some(Err(e)) => return self.error(id, &e),
             None => return self.error(id, "internal: lint planning panicked on a worker"),
         };
-        let backend = spec.backend.unwrap_or(self.backend);
-        let effective = spec
-            .limits
-            .as_ref()
-            .map_or_else(|| self.limits.clone(), |l| l.apply(&self.limits));
-        let (outcomes, probe_stats) =
-            executor::solve_probes(&self.pool, backend, &effective, &plan.probes);
+        let limits = protocol::effective_limits(spec.limits.as_ref(), &self.limits);
+        let (outcomes, probe_stats) = executor::solve_probes(&self.pool, &limits, &plan.probes);
         self.counters.problems += plan.probes.len() as u64;
         self.counters.cache_hits += probe_stats.hits as u64;
         self.counters.cache_misses += probe_stats.misses as u64;
@@ -445,7 +415,7 @@ impl Engine {
             ("ok", Value::Bool(true)),
             ("op", Value::from("stats")),
             ("protocol", Value::from(protocol::PROTOCOL_VERSION as usize)),
-            ("backend", Value::from(self.backend.as_str())),
+            ("backend", Value::from(BACKEND)),
             ("threads", Value::from(self.threads())),
             ("dtds", Value::from(self.workspace.dtd_count())),
             ("queries", Value::from(self.workspace.query_count())),

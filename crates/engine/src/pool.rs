@@ -5,10 +5,10 @@
 //! sequential front end and the TCP tier's admitted problems — runs as
 //! [`Worker::solve`] on a pool thread: memo lookup, the solve under panic
 //! containment, definite verdicts (only) into the memo, then the trace
-//! drained and slow solves recorded. The memo is keyed by `(problem,
-//! backend)` alone: a definite verdict is valid whatever budget produced
-//! it, while `unknown` verdicts and solver-level failures are never
-//! cached — a retry with bigger limits must re-solve.
+//! drained and slow solves recorded. The memo is keyed by the problem
+//! alone: a definite verdict is valid whatever budget produced it, while
+//! `unknown` verdicts and solver-level failures are never cached — a
+//! retry with bigger limits must re-solve.
 //!
 //! Work arrives as boxed [`Task`] closures through a bounded queue.
 //! [`Pool::try_submit`] never blocks: a full (or closed) queue hands the
@@ -29,13 +29,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use analyzer::{Analyzer, AnalyzerOptions};
+use analyzer::Analyzer;
 use obs::{FieldValue, Gauge, MemorySink, Recorder, Sink, SlowEntry, SlowLog};
 use solver::Limits;
 
 use crate::json::Value;
-use crate::problem::{outcome_status, run_job, Job, RunOutcome, Verdict};
-use crate::protocol::trace_value;
+use crate::problem::{outcome_status, run_problem, Problem, RunOutcome, Verdict};
+use crate::protocol::{trace_value, BACKEND};
 
 /// One unit of pool work: runs once, on whichever worker pops it.
 pub type Task = Box<dyn FnOnce(&mut Worker) + Send>;
@@ -47,9 +47,6 @@ pub struct PoolConfig {
     pub threads: usize,
     /// Queue bound: [`Pool::try_submit`] refuses tasks beyond it.
     pub queue_depth: usize,
-    /// Analyzer options; workers build (and rebuild) their analyzers
-    /// from them.
-    pub options: AnalyzerOptions,
     /// Every solve's trace events also stream here when set.
     pub trace_sink: Option<Arc<dyn Sink>>,
     /// Solves slower than this many milliseconds capture their full
@@ -77,7 +74,7 @@ pub struct Solved {
 /// run.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct WorkItem {
-    pub job: Job,
+    pub problem: Problem,
     pub limits: Limits,
     pub trace: bool,
 }
@@ -85,11 +82,10 @@ pub(crate) struct WorkItem {
 /// State the pool's owner and its workers share.
 struct Shared {
     queue: Queue<Task>,
-    options: AnalyzerOptions,
     /// Bumped by [`Pool::reset`]; a worker whose analyzer is older
     /// rebuilds it before its next task.
     generation: AtomicU64,
-    memo: Mutex<HashMap<Job, Verdict>>,
+    memo: Mutex<HashMap<Problem, Verdict>>,
     trace_sink: Option<Arc<dyn Sink>>,
     slow_ms: Option<u64>,
     slow_log: SlowLog,
@@ -114,7 +110,7 @@ impl Shared {
 
     /// Captures a computed solve into the slow log when it exceeded the
     /// threshold. `events` is the solve's drained trace.
-    fn note_slow(&self, job: &Job, outcome: &RunOutcome, events: &[obs::Event]) {
+    fn note_slow(&self, problem: &Problem, outcome: &RunOutcome, events: &[obs::Event]) {
         let Some(threshold) = self.slow_ms else {
             return;
         };
@@ -127,8 +123,8 @@ impl Shared {
             return;
         }
         self.slow_log.push(SlowEntry {
-            op: job.problem.op_name(),
-            backend: job.backend.as_str(),
+            op: problem.op_name(),
+            backend: BACKEND,
             status: outcome_status(outcome),
             wall_ms,
             threshold_ms: threshold,
@@ -155,26 +151,26 @@ impl Worker {
     /// Runs one decision problem: memo lookup, then (on a miss) the solve
     /// under panic containment, inserting only a definite verdict into
     /// the memo; then the trace is drained and a slow solve recorded.
-    pub fn solve(&mut self, job: &Job, limits: &Limits, trace: bool) -> Solved {
+    pub fn solve(&mut self, problem: &Problem, limits: &Limits, trace: bool) -> Solved {
         let shared = Arc::clone(&self.shared);
         let (rec, capture) = shared.recorder(trace);
-        let hit = lock(&shared.memo).get(job).cloned();
-        note_memo_lookup(&rec, job, hit.is_some());
+        let hit = lock(&shared.memo).get(problem).cloned();
+        note_memo_lookup(&rec, problem, hit.is_some());
         let (outcome, cached) = match hit {
             Some(v) => (RunOutcome::Verdict(v), true),
             None => {
                 let outcome = self
-                    .contained(|az| run_job(az, job, limits, &rec))
+                    .contained(|az| run_problem(az, problem, limits, &rec))
                     .unwrap_or_else(RunOutcome::Error);
                 if let RunOutcome::Verdict(v) = &outcome {
-                    lock(&shared.memo).insert(job.clone(), v.clone());
+                    lock(&shared.memo).insert(problem.clone(), v.clone());
                 }
                 (outcome, false)
             }
         };
         let events = capture.map(|mem| mem.drain()).unwrap_or_default();
         if !cached {
-            shared.note_slow(job, &outcome, &events);
+            shared.note_slow(problem, &outcome, &events);
         }
         Solved {
             outcome,
@@ -198,7 +194,7 @@ impl Worker {
     }
 
     fn panicked(&mut self) {
-        self.analyzer = Analyzer::with_options(self.shared.options.clone());
+        self.analyzer = Analyzer::new();
         obs::metrics()
             .counter("xsat_worker_panics_total", &[])
             .inc();
@@ -239,7 +235,6 @@ impl Pool {
                     config.queue_depth,
                     obs::metrics().gauge(config.queue_gauge, &[]),
                 ),
-                options: config.options,
                 generation: AtomicU64::new(0),
                 memo: Mutex::new(HashMap::new()),
                 trace_sink: config.trace_sink,
@@ -310,7 +305,7 @@ impl Pool {
                     let Some(item) = claims.items.get(i) else {
                         break;
                     };
-                    let solved = w.solve(&item.job, &item.limits, item.trace);
+                    let solved = w.solve(&item.problem, &item.limits, item.trace);
                     *lock(&claims.results[i]) = Some(solved);
                 }
             }));
@@ -384,14 +379,14 @@ impl Drop for Pool {
 /// The worker loop: pops until the queue closes and drains.
 fn worker_loop(shared: Arc<Shared>) {
     let mut w = Worker {
-        analyzer: Analyzer::with_options(shared.options.clone()),
+        analyzer: Analyzer::new(),
         generation: shared.generation.load(Ordering::Acquire),
         shared,
     };
     while let Some(task) = w.shared.queue.pop() {
         let generation = w.shared.generation.load(Ordering::Acquire);
         if generation != w.generation {
-            w.analyzer = Analyzer::with_options(w.shared.options.clone());
+            w.analyzer = Analyzer::new();
             w.generation = generation;
         }
         if std::panic::catch_unwind(AssertUnwindSafe(|| task(&mut w))).is_err() {
@@ -402,13 +397,13 @@ fn worker_loop(shared: Arc<Shared>) {
 
 /// One memo-cache lookup: the `memo` trace event plus the process-wide
 /// hit/miss counters.
-fn note_memo_lookup(rec: &Recorder, job: &Job, hit: bool) {
+fn note_memo_lookup(rec: &Recorder, problem: &Problem, hit: bool) {
     rec.event(
         "memo",
         &[
             ("hit", FieldValue::Bool(hit)),
-            ("op", FieldValue::Str(job.problem.op_name())),
-            ("backend", FieldValue::Str(job.backend.as_str())),
+            ("op", FieldValue::Str(problem.op_name())),
+            ("backend", FieldValue::Str(BACKEND)),
         ],
     );
     let name = if hit {
@@ -521,14 +516,12 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analyzer::BackendChoice;
     use std::sync::Barrier;
 
     fn pool(threads: usize) -> Pool {
         Pool::new(PoolConfig {
             threads,
             queue_depth: 64,
-            options: AnalyzerOptions::default(),
             trace_sink: None,
             slow_solve_ms: None,
             queue_gauge: "xsat_test_queue_depth",
@@ -540,14 +533,14 @@ mod tests {
         Queue::new(capacity, obs::metrics().gauge("xsat_test_queue_depth", &[]))
     }
 
-    /// Marks the worker's analyzer by switching its backend away from the
-    /// default: a rebuilt analyzer is back on the default.
+    /// Marks the worker's analyzer by interning a formula in its arena: a
+    /// rebuilt analyzer starts from an empty arena again.
     fn mark(w: &mut Worker) {
-        w.analyzer().set_backend(BackendChoice::Explicit);
+        w.analyzer().logic_mut().parse("pool_test_mark").unwrap();
     }
 
     fn is_fresh(w: &mut Worker) -> bool {
-        w.analyzer().backend() == AnalyzerOptions::default().backend
+        w.analyzer().logic_mut().len() == Analyzer::new().logic_mut().len()
     }
 
     #[test]

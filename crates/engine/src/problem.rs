@@ -1,15 +1,14 @@
-//! Executor jobs, their canonical memo keys, and wire-friendly verdicts.
+//! Decision problems as memo keys, and wire-friendly verdicts.
 //!
 //! The typed decision problem itself is [`analyzer::Problem`] — fully
 //! structural, holding parsed query ASTs and DTDs behind [`Arc`](std::sync::Arc),
 //! so its derived `Hash`/`Eq` give a *canonical key*: the same logical
 //! problem posed twice (under different names, or inline vs. registered)
 //! memoizes to one cache entry, and two distinct problems can never alias
-//! the way rendered-string keys could. The memo key proper is a [`Job`]:
-//! the problem *plus* the backend it runs on — a cached symbolic verdict
-//! must never answer an explicit-backend request.
+//! the way rendered-string keys could. Every problem runs on the symbolic
+//! solver, so the problem alone is the memo key.
 //!
-//! Running a job yields a [`RunOutcome`] with three shapes, mirroring the
+//! Running a problem yields a [`RunOutcome`] with three shapes, mirroring the
 //! protocol's `status` field: a definite [`Verdict`] (`holds` / `fails`),
 //! an [`UnknownVerdict`] when a resource budget ran out (never cached — a
 //! retry with bigger limits must re-solve), or an error string (an
@@ -21,20 +20,12 @@
 
 use std::time::Instant;
 
-use analyzer::{Analysis, Analyzer, BackendChoice, Limits, SolveError, Telemetry};
+use analyzer::{Analysis, Analyzer, Limits, SolveError, Telemetry};
 use obs::Recorder;
 
-pub use analyzer::Problem;
+use crate::protocol::BACKEND;
 
-/// The memo-cache key and unit of executor work: a canonical problem plus
-/// the backend that must answer it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Job {
-    /// The structural problem.
-    pub problem: Problem,
-    /// The backend it runs on.
-    pub backend: BackendChoice,
-}
+pub use analyzer::Problem;
 
 /// Solver statistics snapshot carried by every verdict (and preserved on
 /// cache hits, where they describe the original solving run).
@@ -48,7 +39,7 @@ pub struct VerdictStats {
     pub iterations: usize,
     /// Wall-clock of the satisfiability loop(s), in milliseconds.
     pub solve_ms: f64,
-    /// Typed per-backend counters (summed over sub-problems).
+    /// The solver's typed counters (summed over sub-problems).
     pub telemetry: Telemetry,
 }
 
@@ -109,8 +100,6 @@ pub struct Verdict {
     /// `counter_example` only — that model is evidence *for* the property,
     /// not a counter-example.
     pub counterexample: Option<CounterExample>,
-    /// The backend that produced the verdict, echoed on every response.
-    pub backend: BackendChoice,
     /// Solver measurements.
     pub stats: VerdictStats,
     /// End-to-end time for this problem (translation + solving), in
@@ -134,7 +123,6 @@ impl Verdict {
             holds: a.holds,
             counter_example: a.counter_example.map(|m| m.xml()),
             counterexample,
-            backend: a.backend,
             stats: VerdictStats::from_solver(&a.stats),
             wall_ms,
         }
@@ -148,7 +136,8 @@ impl Verdict {
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnknownVerdict {
     /// Protocol name of the exhausted resource (`wall_clock_ms`,
-    /// `bdd_nodes`, `iterations`, `lean_diamonds`).
+    /// `bdd_nodes`, `iterations`, or a serving-tier bound: `shed`,
+    /// `cancelled`).
     pub resource: &'static str,
     /// How much was spent when the budget check fired.
     pub spent: u64,
@@ -156,13 +145,11 @@ pub struct UnknownVerdict {
     pub limit: u64,
     /// Human-readable exhaustion report.
     pub reason: String,
-    /// The backend that ran out.
-    pub backend: BackendChoice,
     /// End-to-end time until the budget fired, in milliseconds.
     pub wall_ms: f64,
 }
 
-/// What one executed job produced — the three protocol statuses beyond a
+/// What one solved problem produced — the three protocol statuses beyond a
 /// plain `holds`/`fails` split.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RunOutcome {
@@ -185,19 +172,24 @@ impl RunOutcome {
     }
 }
 
-/// Solves a job on the given analyzer under the given limits, folding the
-/// typed [`SolveError`] into the protocol's three-way outcome.
+/// Solves a problem on the given analyzer under the given limits, folding
+/// the typed [`SolveError`] into the protocol's three-way outcome.
 ///
 /// Phase and step events of the solve are recorded on `rec` (pass
 /// [`Recorder::noop`] to run silently), and every run updates the
 /// process-wide [`obs::metrics`] registry: `xsat_solves_total` and the
-/// `xsat_solve_latency_ms` histogram by operation × backend × status,
+/// `xsat_solve_latency_ms` histogram by operation × backend (always
+/// `symbolic`) × status,
 /// `xsat_unknown_total` by exhausted resource, and the
 /// `xsat_bdd_peak_nodes` high-water gauge.
-pub fn run_job(az: &mut Analyzer, job: &Job, limits: &Limits, rec: &Recorder) -> RunOutcome {
+pub fn run_problem(
+    az: &mut Analyzer,
+    problem: &Problem,
+    limits: &Limits,
+    rec: &Recorder,
+) -> RunOutcome {
     let started = Instant::now();
-    az.set_backend(job.backend);
-    let outcome = match az.solve_traced(&job.problem, limits, rec) {
+    let outcome = match az.solve_traced(problem, limits, rec) {
         Ok(analysis) => RunOutcome::Verdict(Verdict::from_analysis(
             analysis,
             duration_ms(started.elapsed()),
@@ -209,13 +201,12 @@ pub fn run_job(az: &mut Analyzer, job: &Job, limits: &Limits, rec: &Recorder) ->
                 spent: x.spent,
                 limit: x.limit,
                 reason: e.to_string(),
-                backend: job.backend,
                 wall_ms: duration_ms(started.elapsed()),
             })
         }
         Err(e @ SolveError::WitnessInvalid { .. }) => RunOutcome::Error(e.to_string()),
     };
-    record_metrics(job, &outcome, duration_ms(started.elapsed()));
+    record_metrics(problem, &outcome, duration_ms(started.elapsed()));
     outcome
 }
 
@@ -229,11 +220,11 @@ pub(crate) fn outcome_status(outcome: &RunOutcome) -> &'static str {
     }
 }
 
-fn record_metrics(job: &Job, outcome: &RunOutcome, wall_ms: f64) {
+fn record_metrics(problem: &Problem, outcome: &RunOutcome, wall_ms: f64) {
     let m = obs::metrics();
     let labels = [
-        ("op", job.problem.op_name()),
-        ("backend", job.backend.as_str()),
+        ("op", problem.op_name()),
+        ("backend", BACKEND),
         ("status", outcome_status(outcome)),
     ];
     m.counter("xsat_solves_total", &labels).inc();
@@ -268,10 +259,6 @@ mod tests {
         Arc::new(xpath::parse(src).unwrap())
     }
 
-    fn job(problem: Problem, backend: BackendChoice) -> Job {
-        Job { problem, backend }
-    }
-
     #[test]
     fn run_produces_counter_example() {
         let mut az = Analyzer::new();
@@ -281,32 +268,21 @@ mod tests {
             q("child::c[child::b]"),
             None,
         );
-        let out = run_job(
-            &mut az,
-            &job(p, BackendChoice::Symbolic),
-            &Limits::default(),
-            &Recorder::noop(),
-        );
+        let out = run_problem(&mut az, &p, &Limits::default(), &Recorder::noop());
         let v = out.verdict().expect("definite verdict");
         assert!(!v.holds);
         let xml = v.counter_example.as_ref().expect("witness expected");
         assert!(xml.contains("<a>"), "{xml}");
         assert!(v.stats.lean_size > 0);
         assert!(v.wall_ms >= 0.0);
-        assert_eq!(v.backend, BackendChoice::Symbolic);
-        assert_eq!(v.stats.telemetry.backend_name(), "symbolic");
+        assert_eq!(v.stats.telemetry.backend_name(), BACKEND);
     }
 
     #[test]
     fn equivalence_merges_stats() {
         let mut az = Analyzer::new();
         let p = Problem::equiv(q("a/b[c]"), None, q("a/b[c]"), None);
-        let out = run_job(
-            &mut az,
-            &job(p, BackendChoice::Symbolic),
-            &Limits::default(),
-            &Recorder::noop(),
-        );
+        let out = run_problem(&mut az, &p, &Limits::default(), &Recorder::noop());
         let v = out.verdict().expect("definite verdict");
         assert!(v.holds);
         assert!(v.counter_example.is_none());
@@ -314,54 +290,18 @@ mod tests {
     }
 
     #[test]
-    fn backends_are_distinct_jobs() {
-        use std::collections::HashMap;
-        let p = Problem::contains(q("a/b"), None, q("a/*"), None);
-        let mut m = HashMap::new();
-        m.insert(job(p.clone(), BackendChoice::Symbolic), 1);
-        // The same problem under another backend is a different cache key.
-        assert!(!m.contains_key(&job(p.clone(), BackendChoice::Explicit)));
-        assert!(m.contains_key(&job(p, BackendChoice::Symbolic)));
-    }
-
-    #[test]
-    fn run_on_reference_backends() {
-        let p = Problem::overlap(q("child::a"), None, q("child::*"), None);
-        for backend in [BackendChoice::Explicit, BackendChoice::Witnessed] {
-            let mut az = Analyzer::new();
-            let out = run_job(
-                &mut az,
-                &job(p.clone(), backend),
-                &Limits::default(),
-                &Recorder::noop(),
-            );
-            let v = out.verdict().unwrap_or_else(|| panic!("{backend}"));
-            assert!(v.holds, "{backend}");
-            assert_eq!(v.backend, backend);
-            assert_eq!(v.stats.telemetry.backend_name(), backend.as_str());
-        }
-    }
-
-    #[test]
-    fn exhausted_jobs_come_back_unknown() {
+    fn exhausted_problems_come_back_unknown() {
         let mut az = Analyzer::new();
         let p = Problem::sat(q("a/b[c]"), None);
         let starved = Limits {
             max_iterations: Some(1),
             ..Limits::default()
         };
-        let out = run_job(
-            &mut az,
-            &job(p, BackendChoice::Symbolic),
-            &starved,
-            &Recorder::noop(),
-        );
-        match out {
+        match run_problem(&mut az, &p, &starved, &Recorder::noop()) {
             RunOutcome::Unknown(u) => {
                 assert_eq!(u.resource, "iterations");
                 assert_eq!((u.spent, u.limit), (1, 1));
                 assert!(u.reason.contains("resource exhausted"), "{}", u.reason);
-                assert_eq!(u.backend, BackendChoice::Symbolic);
             }
             other => panic!("expected unknown, got {other:?}"),
         }

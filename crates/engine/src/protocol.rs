@@ -4,10 +4,11 @@
 //! `"id"` field (any JSON value), echoed verbatim on its response so
 //! pipelined clients can correlate. Decision ops reference queries and
 //! types by registered name, with inline XPath / DTD source accepted as a
-//! fallback (see [`Workspace`]), and may carry a `"backend"` field
-//! (`symbolic` | `explicit` | `witnessed`) selecting the solver
-//! and a `"limits"` object overriding the engine's resource budgets
-//! per request (see [`LimitsSpec`]).
+//! fallback (see [`Workspace`]), and may carry a `"limits"` object
+//! overriding the engine's resource budgets per request (see
+//! [`LimitsSpec`]). Every problem runs on the symbolic solver; a
+//! `"backend"` field is accepted only when it names it ([`BACKEND`]), and
+//! every verdict echoes it.
 //!
 //! Protocol v2 gives every verdict a `"status"` field — `holds`, `fails`,
 //! `unknown` (a resource budget ran out; the exhausted resource is named)
@@ -19,7 +20,6 @@
 //! {"op":"dtd","name":"d1","source":"<!ELEMENT a (b*)> <!ELEMENT b EMPTY>"}
 //! {"op":"query","name":"q1","xpath":"a/b"}
 //! {"op":"contains","lhs":"q1","rhs":"a/*","type":"d1"}
-//! {"op":"contains","lhs":"q1","rhs":"a/*","backend":"explicit"}
 //! {"op":"sat","query":"q1","limits":{"timeout_ms":250,"max_bdd_nodes":200000}}
 //! {"op":"covers","query":"child::*","by":["child::a","child::*[not(self::a)]"]}
 //! {"op":"typecheck","query":"child::x","input":"din","output":"dout"}
@@ -28,16 +28,21 @@
 
 use std::sync::Arc;
 
-use analyzer::{BackendChoice, Limits, Telemetry};
+use analyzer::{Limits, Telemetry};
 
 use crate::json::{obj, Value};
-use crate::problem::{CounterExample, Job, Problem, RunOutcome, UnknownVerdict, Verdict};
+use crate::problem::{CounterExample, Problem, RunOutcome, UnknownVerdict, Verdict};
 use crate::workspace::Workspace;
 
 /// The protocol version spoken by this engine, echoed on `stats`
 /// responses. Version 2 added `status` on every verdict, per-request
 /// `limits`, and `unknown` verdicts for exhausted budgets.
 pub const PROTOCOL_VERSION: u64 = 2;
+
+/// The solver behind every verdict: the only value a request's
+/// `"backend"` field may name, and the `backend` echoed on verdicts,
+/// `stats`, telemetry, trace events and metric labels.
+pub const BACKEND: &str = "symbolic";
 
 /// A parsed protocol request.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,9 +74,6 @@ pub enum RequestKind {
     Problem {
         /// The problem, by reference (names or inline sources).
         spec: ProblemSpec,
-        /// Requested solver backend; `None` falls back to the engine
-        /// default.
-        backend: Option<BackendChoice>,
         /// Per-request limit overrides; fields not given fall back to the
         /// engine's default limits.
         limits: Option<LimitsSpec>,
@@ -346,7 +348,7 @@ impl ProblemSpec {
 /// ```text
 /// {"op":"lint","type":"d1",
 ///  "rules":{"dead-step":"error","query-shadowing":"off"},
-///  "max_diamonds":16,"limits":{"timeout_ms":500},"backend":"symbolic"}
+///  "max_diamonds":16,"limits":{"timeout_ms":500}}
 /// ```
 ///
 /// Every field is optional. `rules` maps rule ids ([`lint::RuleId::TABLE`])
@@ -363,8 +365,6 @@ pub struct LintSpec {
     pub type_name: Option<String>,
     /// `wildcard-explosion` threshold override.
     pub max_diamonds: Option<usize>,
-    /// Requested solver backend for the probes.
-    pub backend: Option<BackendChoice>,
     /// Per-request limit overrides for every probe solve.
     pub limits: Option<LimitsSpec>,
 }
@@ -422,11 +422,11 @@ fn lint_spec(v: &Value) -> Result<LintSpec, String> {
                 .ok_or_else(|| "`max_diamonds` must be a non-negative integer".to_owned())?,
         ),
     };
+    backend_field(v)?;
     Ok(LintSpec {
         rules,
         type_name: opt_str_field(v, "type"),
         max_diamonds,
-        backend: backend_field(v)?,
         limits: limits_field(v)?,
     })
 }
@@ -435,7 +435,7 @@ fn lint_spec(v: &Value) -> Result<LintSpec, String> {
 ///
 /// Each field overrides the corresponding engine default when present;
 /// absent fields inherit it. Wire keys: `timeout_ms`, `max_bdd_nodes`,
-/// `max_iterations`, `max_lean`.
+/// `max_iterations`.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct LimitsSpec {
     /// Wall-clock budget override, in milliseconds.
@@ -444,8 +444,6 @@ pub struct LimitsSpec {
     pub max_bdd_nodes: Option<usize>,
     /// Fixpoint iteration cap override.
     pub max_iterations: Option<usize>,
-    /// Lean-diamond cap override for the enumerating backends.
-    pub max_lean: Option<usize>,
 }
 
 impl LimitsSpec {
@@ -459,28 +457,15 @@ impl LimitsSpec {
                 .or(base.deadline),
             max_bdd_nodes: self.max_bdd_nodes.or(base.max_bdd_nodes),
             max_iterations: self.max_iterations.or(base.max_iterations),
-            max_lean_diamonds: self.max_lean.unwrap_or(base.max_lean_diamonds),
-            cancel: base.cancel.clone(),
+            ..base.clone()
         }
     }
 }
 
-/// Turns a resolved decision request into its memo key and the limits
-/// its solve runs under: the request's own backend and `limits` object
-/// where it carries them, the caller's defaults otherwise.
-pub fn job_and_limits(
-    problem: Problem,
-    backend: Option<BackendChoice>,
-    limits: Option<&LimitsSpec>,
-    default_backend: BackendChoice,
-    default_limits: &Limits,
-) -> (Job, Limits) {
-    let job = Job {
-        problem,
-        backend: backend.unwrap_or(default_backend),
-    };
-    let limits = limits.map_or_else(|| default_limits.clone(), |l| l.apply(default_limits));
-    (job, limits)
+/// The limits a request's solves run under: its own `limits` object
+/// applied over the caller's defaults, or the defaults alone.
+pub fn effective_limits(spec: Option<&LimitsSpec>, defaults: &Limits) -> Limits {
+    spec.map_or_else(|| defaults.clone(), |l| l.apply(defaults))
 }
 
 impl Request {
@@ -512,12 +497,15 @@ impl Request {
             "slowlog" | "slow-log" => RequestKind::SlowLog,
             "reset" => RequestKind::Reset,
             other => match Op::from_wire(other) {
-                Some(op) => RequestKind::Problem {
-                    spec: problem_spec(op, v)?,
-                    backend: backend_field(v)?,
-                    limits: limits_field(v)?,
-                    trace: trace_field(v)?,
-                },
+                Some(op) => {
+                    let spec = problem_spec(op, v)?;
+                    backend_field(v)?;
+                    RequestKind::Problem {
+                        spec,
+                        limits: limits_field(v)?,
+                        trace: trace_field(v)?,
+                    }
+                }
                 None => return Err(format!("unknown op `{other}`")),
             },
         };
@@ -610,16 +598,14 @@ fn trace_field(v: &Value) -> Result<bool, String> {
     }
 }
 
-/// Parses the optional `backend` field of a request.
-fn backend_field(v: &Value) -> Result<Option<BackendChoice>, String> {
-    match v.get("backend") {
-        None => Ok(None),
-        Some(b) => {
-            let name = b
-                .as_str()
-                .ok_or_else(|| "`backend` must be a string".to_owned())?;
-            name.parse().map(Some)
-        }
+/// Checks the optional `backend` field of a request: only [`BACKEND`]
+/// is accepted. Removed values get the same error as unknown ones, never
+/// a silent fallback.
+fn backend_field(v: &Value) -> Result<(), String> {
+    match v.get("backend").map(Value::as_str) {
+        None | Some(Some(BACKEND)) => Ok(()),
+        Some(Some(other)) => Err(format!("unknown backend `{other}` (expected {BACKEND})")),
+        Some(None) => Err("`backend` must be a string".to_owned()),
     }
 }
 
@@ -644,11 +630,11 @@ fn limits_field(v: &Value) -> Result<Option<LimitsSpec>, String> {
         }
     };
     if let Value::Obj(fields) = l {
-        const KNOWN: [&str; 4] = ["timeout_ms", "max_bdd_nodes", "max_iterations", "max_lean"];
+        const KNOWN: [&str; 3] = ["timeout_ms", "max_bdd_nodes", "max_iterations"];
         if let Some((k, _)) = fields.iter().find(|(k, _)| !KNOWN.contains(&k.as_str())) {
             return Err(format!(
-                "unknown `limits` field `{k}` (expected timeout_ms, max_bdd_nodes, \
-                 max_iterations or max_lean)"
+                "unknown `limits` field `{k}` (expected timeout_ms, max_bdd_nodes \
+                 or max_iterations)"
             ));
         }
     }
@@ -656,7 +642,6 @@ fn limits_field(v: &Value) -> Result<Option<LimitsSpec>, String> {
         timeout_ms: field("timeout_ms")?,
         max_bdd_nodes: field("max_bdd_nodes")?.map(|x| x as usize),
         max_iterations: field("max_iterations")?.map(|x| x as usize),
-        max_lean: field("max_lean")?.map(|x| x as usize),
     }))
 }
 
@@ -703,7 +688,7 @@ pub fn verdict_response(
     fields.extend([
         ("ok", Value::Bool(true)),
         ("op", Value::from(op.canonical())),
-        ("backend", Value::from(verdict.backend.as_str())),
+        ("backend", Value::from(BACKEND)),
         ("status", Value::from(Status::of(verdict.holds).as_str())),
         ("holds", Value::Bool(verdict.holds)),
     ]);
@@ -768,7 +753,7 @@ pub fn unknown_response(
     fields.extend([
         ("ok", Value::Bool(true)),
         ("op", Value::from(op.canonical())),
-        ("backend", Value::from(unknown.backend.as_str())),
+        ("backend", Value::from(BACKEND)),
         ("status", Value::from(Status::Unknown.as_str())),
         ("holds", Value::Null),
         ("resource", Value::from(unknown.resource)),
@@ -872,41 +857,35 @@ pub fn counterexample_value(ce: &CounterExample) -> Value {
     ])
 }
 
-/// Serializes per-backend telemetry as a tagged JSON object.
+/// Serializes the solver telemetry as a tagged JSON object.
 ///
-/// The symbolic payload carries the BDD kernel counters (live/peak/created
+/// After the `backend` tag come the BDD kernel counters (live/peak/created
 /// nodes, unique-table capacity, operation-cache traffic) plus the two
 /// derived ratios — `load_factor` and `cache_hit_rate` — rounded to three
 /// decimals. See `docs/PROTOCOL.md` for the normative schema.
 pub fn telemetry_value(t: &Telemetry) -> Value {
     let mut fields = vec![("backend", Value::from(t.backend_name()))];
-    match t {
-        Telemetry::Symbolic {
-            bdd_nodes,
-            counters,
-        } => {
-            fields.push(("bdd_nodes", Value::from(*bdd_nodes)));
-            fields.push(("peak_nodes", Value::from(counters.peak_nodes)));
-            fields.push(("created_nodes", Value::from(counters.created_nodes)));
-            fields.push(("table_capacity", Value::from(counters.table_capacity)));
-            fields.push(("load_factor", Value::Num(round3(counters.load_factor()))));
-            fields.push(("cache_hits", Value::from(counters.cache_hits as usize)));
-            fields.push((
+    if let Telemetry::Symbolic {
+        bdd_nodes,
+        counters,
+    } = t
+    {
+        fields.extend([
+            ("bdd_nodes", Value::from(*bdd_nodes)),
+            ("peak_nodes", Value::from(counters.peak_nodes)),
+            ("created_nodes", Value::from(counters.created_nodes)),
+            ("table_capacity", Value::from(counters.table_capacity)),
+            ("load_factor", Value::Num(round3(counters.load_factor()))),
+            ("cache_hits", Value::from(counters.cache_hits as usize)),
+            (
                 "cache_lookups",
                 Value::from(counters.cache_lookups as usize),
-            ));
-            fields.push((
+            ),
+            (
                 "cache_hit_rate",
                 Value::Num(round3(counters.cache_hit_rate())),
-            ));
-        }
-        Telemetry::Explicit { types } => {
-            fields.push(("types", Value::from(*types)));
-        }
-        Telemetry::Witnessed { types, proved, .. } => {
-            fields.push(("types", Value::from(*types)));
-            fields.push(("proved", Value::from(*proved)));
-        }
+            ),
+        ]);
     }
     obj(fields)
 }
@@ -1069,14 +1048,9 @@ fn round3(ms: f64) -> f64 {
 mod tests {
     use super::*;
 
-    fn spec_of(r: Request) -> (ProblemSpec, Option<BackendChoice>, Option<LimitsSpec>) {
+    fn spec_of(r: Request) -> (ProblemSpec, Option<LimitsSpec>) {
         match r.kind {
-            RequestKind::Problem {
-                spec,
-                backend,
-                limits,
-                ..
-            } => (spec, backend, limits),
+            RequestKind::Problem { spec, limits, .. } => (spec, limits),
             other => panic!("unexpected kind {other:?}"),
         }
     }
@@ -1099,7 +1073,7 @@ mod tests {
     #[test]
     fn parses_the_issue_example() {
         let r = Request::parse(r#"{"op":"contains","lhs":"q1","rhs":"q2","type":"dtd1"}"#).unwrap();
-        let (spec, _, _) = spec_of(r);
+        let (spec, _) = spec_of(r);
         assert_eq!(spec.op(), Op::Contains);
         match spec {
             ProblemSpec::Contains {
@@ -1120,7 +1094,7 @@ mod tests {
     fn per_side_types_override_shared() {
         let r =
             Request::parse(r#"{"op":"equiv","lhs":"a","rhs":"b","type":"t","rtype":"u"}"#).unwrap();
-        let (spec, _, _) = spec_of(r);
+        let (spec, _) = spec_of(r);
         match spec {
             ProblemSpec::Equiv { ltype, rtype, .. } => {
                 assert_eq!(ltype.as_deref(), Some("t"));
@@ -1149,35 +1123,29 @@ mod tests {
         // A request through an alias echoes the canonical name: the parse
         // itself resolves through the table.
         let r = Request::parse(r#"{"op":"containment","lhs":"a","rhs":"b"}"#).unwrap();
-        let (spec, _, _) = spec_of(r);
+        let (spec, _) = spec_of(r);
         assert_eq!(spec.op().canonical(), "contains");
         let r = Request::parse(r#"{"op":"coverage","query":"a","by":["b"]}"#).unwrap();
-        let (spec, _, _) = spec_of(r);
+        let (spec, _) = spec_of(r);
         assert_eq!(spec.op().canonical(), "covers");
     }
 
     #[test]
-    fn backend_field_parses_and_rejects() {
-        let r = Request::parse(r#"{"op":"sat","query":"a","backend":"explicit"}"#).unwrap();
-        let (_, backend, _) = spec_of(r);
-        assert_eq!(backend, Some(BackendChoice::Explicit));
-        let r = Request::parse(r#"{"op":"sat","query":"a"}"#).unwrap();
-        let (_, backend, limits) = spec_of(r);
-        assert_eq!(backend, None);
-        assert_eq!(limits, None);
-        let e = Request::parse(r#"{"op":"sat","query":"a","backend":"frobnicate"}"#).unwrap_err();
-        assert!(e.contains("unknown backend `frobnicate`"), "{e}");
-        // The removed multi-backend modes get the same typed rejection,
-        // never a silent fallback to symbolic.
-        for removed in ["dual", "portfolio"] {
-            let line = format!(r#"{{"op":"sat","query":"a","backend":"{removed}"}}"#);
-            let e = Request::parse(&line).unwrap_err();
-            assert!(
-                e.contains(&format!(
-                    "unknown backend `{removed}` (expected symbolic, explicit or witnessed)"
-                )),
-                "{e}"
-            );
+    fn backend_field_accepts_only_symbolic() {
+        let plain = Request::parse(r#"{"op":"sat","query":"a"}"#).unwrap();
+        let named = Request::parse(r#"{"op":"sat","query":"a","backend":"symbolic"}"#).unwrap();
+        assert_eq!(named, plain);
+        assert_eq!(spec_of(plain).1, None);
+        let lint = Request::parse(r#"{"op":"lint","backend":"symbolic"}"#).unwrap();
+        assert!(matches!(lint.kind, RequestKind::Lint(_)));
+        // Removed and unknown values get the same typed rejection, on
+        // decision ops and lint alike, never a silent fallback to symbolic.
+        for name in ["frobnicate", "explicit", "witnessed", "dual", "portfolio"] {
+            for op in [r#""op":"sat","query":"a""#, r#""op":"lint""#] {
+                let line = format!(r#"{{{op},"backend":"{name}"}}"#);
+                let e = Request::parse(&line).unwrap_err();
+                assert_eq!(e, format!("unknown backend `{name}` (expected symbolic)"));
+            }
         }
         let e = Request::parse(r#"{"op":"sat","query":"a","backend":7}"#).unwrap_err();
         assert!(e.contains("`backend` must be a string"), "{e}");
@@ -1186,29 +1154,31 @@ mod tests {
     #[test]
     fn limits_object_parses_and_rejects() {
         let r = Request::parse(
-            r#"{"op":"sat","query":"a","limits":{"timeout_ms":250,"max_bdd_nodes":1000,"max_iterations":50,"max_lean":12}}"#,
+            r#"{"op":"sat","query":"a","limits":{"timeout_ms":250,"max_bdd_nodes":1000,"max_iterations":50}}"#,
         )
         .unwrap();
-        let (_, _, limits) = spec_of(r);
+        let (_, limits) = spec_of(r);
         let spec = limits.expect("limits parsed");
         assert_eq!(spec.timeout_ms, Some(250));
         assert_eq!(spec.max_bdd_nodes, Some(1000));
         assert_eq!(spec.max_iterations, Some(50));
-        assert_eq!(spec.max_lean, Some(12));
         // Overrides merge over a base: absent fields inherit.
-        let base = Limits::default();
-        let eff = spec.apply(&base);
+        let base = Limits {
+            max_iterations: Some(7),
+            ..Limits::default()
+        };
+        let eff = effective_limits(Some(&spec), &base);
         assert_eq!(eff.deadline, Some(std::time::Duration::from_millis(250)));
         assert_eq!(eff.max_bdd_nodes, Some(1000));
         assert_eq!(eff.max_iterations, Some(50));
-        assert_eq!(eff.max_lean_diamonds, 12);
         let partial = LimitsSpec {
             timeout_ms: Some(9),
             ..LimitsSpec::default()
         };
-        let eff = partial.apply(&base);
+        let eff = effective_limits(Some(&partial), &base);
         assert_eq!(eff.deadline, Some(std::time::Duration::from_millis(9)));
-        assert_eq!(eff.max_lean_diamonds, base.max_lean_diamonds);
+        assert_eq!(eff.max_iterations, Some(7));
+        assert_eq!(effective_limits(None, &base), base);
 
         let e = Request::parse(r#"{"op":"sat","query":"a","limits":7}"#).unwrap_err();
         assert!(e.contains("`limits` must be an object"), "{e}");
@@ -1221,6 +1191,13 @@ mod tests {
         let e =
             Request::parse(r#"{"op":"sat","query":"a","limits":{"frobnicate":1}}"#).unwrap_err();
         assert!(e.contains("unknown `limits` field `frobnicate`"), "{e}");
+        // The enumerating backends' lean cap is not a service limit.
+        let e = Request::parse(r#"{"op":"sat","query":"a","limits":{"max_lean":16}}"#).unwrap_err();
+        assert_eq!(
+            e,
+            "unknown `limits` field `max_lean` (expected timeout_ms, max_bdd_nodes \
+             or max_iterations)"
+        );
     }
 
     #[test]
@@ -1246,18 +1223,6 @@ mod tests {
         );
         assert_eq!(v.get("load_factor").and_then(Value::as_f64), Some(0.005));
         assert_eq!(v.get("cache_hit_rate").and_then(Value::as_f64), Some(0.75));
-
-        let v = telemetry_value(&Telemetry::Explicit { types: 9 });
-        assert_eq!(v.get("backend").and_then(Value::as_str), Some("explicit"));
-        assert_eq!(v.get("types").and_then(Value::as_f64), Some(9.0));
-
-        let v = telemetry_value(&Telemetry::Witnessed {
-            types: 9,
-            proved: 4,
-            witness: None,
-        });
-        assert_eq!(v.get("backend").and_then(Value::as_str), Some("witnessed"));
-        assert_eq!(v.get("proved").and_then(Value::as_f64), Some(4.0));
     }
 
     #[test]
@@ -1277,7 +1242,7 @@ mod tests {
         let r =
             Request::parse(r#"{"op":"covers","query":"child::*","by":["child::x"],"type":"d"}"#)
                 .unwrap();
-        let (spec, _, _) = spec_of(r);
+        let (spec, _) = spec_of(r);
         let p = spec.resolve(&ws).unwrap();
         assert_eq!(p.op_name(), "covers");
 
@@ -1285,7 +1250,7 @@ mod tests {
             r#"{"op":"typecheck","query":"child::x","input":"d","output":"<!ELEMENT x EMPTY>"}"#,
         )
         .unwrap();
-        let (spec, _, _) = spec_of(r);
+        let (spec, _) = spec_of(r);
         assert_eq!(spec.resolve(&ws).unwrap().op_name(), "typecheck");
     }
 }

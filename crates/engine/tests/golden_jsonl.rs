@@ -1,7 +1,7 @@
 //! Golden JSONL round-trips: a request file goes in, the verdict stream
 //! must match the expected lines, for every protocol op and for the
-//! `backend` request field (every verdict echoes the backend that answered
-//! it, and the memo cache is keyed per backend).
+//! `backend` request field (every verdict echoes `symbolic`, the one
+//! solver; a request may name it, and any other value is rejected).
 //!
 //! Volatile measurement fields (`wall_ms`, `stats`) are stripped before
 //! comparison; everything else — including counter-example XML, `cached`
@@ -10,7 +10,7 @@
 //! which must produce the same normalized verdicts as the parallel batch
 //! executor.
 
-use engine::{json, BackendChoice, Engine, EngineConfig, Request, Telemetry, Value};
+use engine::{json, Engine, EngineConfig, Request, Value};
 
 /// The golden exchange: one `(request, expected normalized response)` pair
 /// per line, exercising every op of the protocol.
@@ -92,37 +92,36 @@ const GOLDEN: &[(&str, &str)] = &[
         r#"{"op":"frobnicate"}"#,
         r#"{"ok":false,"status":"error","error":"unknown op `frobnicate`"}"#,
     ),
-    // Backend selection: the explicit reference backend answers and is
-    // cached under its own key…
+    // The removed reference backends get the typed unknown-backend error
+    // at parse time: they were test oracles, not service modes…
     (
         r#"{"id":15,"op":"sat","query":"child::a","backend":"explicit"}"#,
-        r#"{"id":15,"ok":true,"op":"sat","backend":"explicit","status":"holds","holds":true,"counter_example":"<a s=\"1\"><a/></a>","cached":false}"#,
+        r#"{"ok":false,"status":"error","error":"unknown backend `explicit` (expected symbolic)"}"#,
     ),
-    // …so the same problem on the default symbolic backend re-solves
-    // (different key, different minimal witness) instead of hitting the
-    // explicit verdict…
+    // …so the problem itself is first solved here…
     (
         r#"{"id":16,"op":"sat","query":"child::a"}"#,
         r#"{"id":16,"ok":true,"op":"sat","backend":"symbolic","status":"holds","holds":true,"counter_example":"<_other s=\"1\"><a/></_other>","cached":false}"#,
     ),
-    // …while a repeat on the explicit backend is a cache hit.
+    // …and naming a removed backend again is still an error, never a
+    // cache hit on the symbolic verdict.
     (
         r#"{"id":17,"op":"sat","query":"child::a","backend":"explicit"}"#,
-        r#"{"id":17,"ok":true,"op":"sat","backend":"explicit","status":"holds","holds":true,"counter_example":"<a s=\"1\"><a/></a>","cached":true}"#,
+        r#"{"ok":false,"status":"error","error":"unknown backend `explicit` (expected symbolic)"}"#,
     ),
-    // The backend is echoed per verdict.
+    // Naming the one backend is accepted, and it is echoed per verdict.
     (
         r#"{"id":18,"op":"overlap","lhs":"child::a","rhs":"child::*","backend":"symbolic"}"#,
         r#"{"id":18,"ok":true,"op":"overlap","backend":"symbolic","status":"holds","holds":true,"counter_example":"<_other s=\"1\"><a/></_other>","cached":false}"#,
     ),
     (
         r#"{"id":19,"op":"empty","query":"child::a ∩ child::b","backend":"witnessed"}"#,
-        r#"{"id":19,"ok":true,"op":"empty","backend":"witnessed","status":"holds","holds":true,"counter_example":null,"cached":false}"#,
+        r#"{"ok":false,"status":"error","error":"unknown backend `witnessed` (expected symbolic)"}"#,
     ),
     // Unknown backend: rejected at parse time.
     (
         r#"{"id":20,"op":"sat","query":"child::a","backend":"quantum"}"#,
-        r#"{"ok":false,"status":"error","error":"unknown backend `quantum` (expected symbolic, explicit or witnessed)"}"#,
+        r#"{"ok":false,"status":"error","error":"unknown backend `quantum` (expected symbolic)"}"#,
     ),
     // A failing containment reports the symbolic witness.
     (
@@ -132,7 +131,7 @@ const GOLDEN: &[(&str, &str)] = &[
     // Protocol v2 limits round-trip: a generous `limits` object changes
     // nothing about the verdict.
     (
-        r#"{"id":22,"op":"sat","query":"child::roundtrip","limits":{"timeout_ms":60000,"max_bdd_nodes":1000000,"max_iterations":1000,"max_lean":16}}"#,
+        r#"{"id":22,"op":"sat","query":"child::roundtrip","limits":{"timeout_ms":60000,"max_bdd_nodes":1000000,"max_iterations":1000}}"#,
         r#"{"id":22,"ok":true,"op":"sat","backend":"symbolic","status":"holds","holds":true,"counter_example":"<_other s=\"1\"><roundtrip/></_other>","cached":false}"#,
     ),
     // A starved iteration cap yields the third verdict: status `unknown`,
@@ -146,9 +145,8 @@ const GOLDEN: &[(&str, &str)] = &[
         r#"{"id":24,"op":"containment","lhs":"q1","rhs":"q2","type":"d1"}"#,
         r#"{"id":24,"ok":true,"op":"contains","backend":"symbolic","status":"holds","holds":true,"counter_example":null,"cached":true}"#,
     ),
-    // An explicit `symbolic` shares the default backend's cache key: id 10
-    // solved this problem on symbolic (id 19's witnessed run is a distinct
-    // job), so this is a hit.
+    // Naming `symbolic` changes nothing about the memo key: id 10 solved
+    // this problem, so this is a hit.
     (
         r#"{"id":25,"op":"empty","query":"child::a ∩ child::b","backend":"symbolic"}"#,
         r#"{"id":25,"ok":true,"op":"empty","backend":"symbolic","status":"holds","holds":true,"counter_example":null,"cached":true}"#,
@@ -165,7 +163,7 @@ const GOLDEN: &[(&str, &str)] = &[
     // client asked for.
     (
         r#"{"id":27,"op":"sat","query":"child::a","backend":"dual"}"#,
-        r#"{"ok":false,"status":"error","error":"unknown backend `dual` (expected symbolic, explicit or witnessed)"}"#,
+        r#"{"ok":false,"status":"error","error":"unknown backend `dual` (expected symbolic)"}"#,
     ),
 ];
 
@@ -214,18 +212,17 @@ fn batch_matches_golden_stream() {
             normalize(got).to_json(),
         );
     }
-    // 24 decision problems were posed; ids 4, 5 and 24 repeat id 1's
-    // problem, id 17 repeats id 15's (problem, backend) job, id 25 repeats
-    // id 10's and id 26 repeats id 3's failing containment. Id 16 repeats
-    // a *problem* under a different backend, which is a distinct job; id
-    // 23 exhausts its iteration cap and is counted as `unknown`, not an
-    // error. Id 14, the `frobnicate` op and ids 20 and 27 are errors
-    // before any solve.
-    assert_eq!(outcome.stats.problems, 24);
-    assert_eq!(outcome.stats.unique_problems, 18);
-    assert_eq!(outcome.stats.cache_hits, 6);
+    // 21 decision problems were posed; ids 4, 5 and 24 repeat id 1's
+    // problem, id 25 repeats id 10's and id 26 repeats id 3's failing
+    // containment. Id 23 exhausts its iteration cap and is counted as
+    // `unknown`, not an error. Id 14, the `frobnicate` op, the removed
+    // backends of ids 15, 17 and 19 and the unknown ones of ids 20 and 27
+    // are errors before any solve.
+    assert_eq!(outcome.stats.problems, 21);
+    assert_eq!(outcome.stats.unique_problems, 16);
+    assert_eq!(outcome.stats.cache_hits, 5);
     assert_eq!(outcome.stats.unknown, 1);
-    assert_eq!(outcome.stats.errors, 4);
+    assert_eq!(outcome.stats.errors, 7);
 
     // Full round-trip: every response line re-parses to the same value.
     for got in &outcome.responses {
@@ -381,26 +378,23 @@ fn assert_counterexample_shape(r: &Value) {
 }
 
 #[test]
-fn counterexample_field_shape_across_backends_and_cache() {
+fn counterexample_field_shape_across_the_cache() {
     let mut e = Engine::new();
-    let fig18 = |id: &str, backend: &str| {
+    let fig18 = |id: &str| {
         format!(
-            r#"{{"id":"{id}","op":"contains","lhs":"child::c/preceding-sibling::a[child::b]","rhs":"child::c[child::b]","backend":"{backend}"}}"#
+            r#"{{"id":"{id}","op":"contains","lhs":"child::c/preceding-sibling::a[child::b]","rhs":"child::c[child::b]"}}"#
         )
     };
-    // Present on every backend's `fails` verdicts…
-    for backend in ["symbolic", "explicit", "witnessed"] {
-        let r = e.execute_line(&fig18(backend, backend));
-        assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
-        assert_counterexample_shape(&r);
-        // …and byte-stable across a memo-cache hit.
-        let hit = e.execute_line(&fig18(&format!("{backend}-again"), backend));
-        assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
-        assert_eq!(hit.get("counterexample"), r.get("counterexample"));
-        // The whole response round-trips through the hand-rolled json
-        // module.
-        assert_eq!(json::parse(&r.to_json()).unwrap(), r);
-    }
+    // Present on `fails` verdicts…
+    let r = e.execute_line(&fig18("cold"));
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
+    assert_counterexample_shape(&r);
+    // …and byte-stable across a memo-cache hit.
+    let hit = e.execute_line(&fig18("again"));
+    assert_eq!(hit.get("cached").and_then(Value::as_bool), Some(true));
+    assert_eq!(hit.get("counterexample"), r.get("counterexample"));
+    // The whole response round-trips through the hand-rolled json module.
+    assert_eq!(json::parse(&r.to_json()).unwrap(), r);
     // Absent on `holds` — including satisfiability, whose supporting model
     // keeps riding the legacy `counter_example` string only.
     let r = e.execute_line(r#"{"op":"sat","query":"child::a"}"#);
@@ -432,38 +426,25 @@ const SYMBOLIC_TELEMETRY_KEYS: [&str; 8] = [
 ];
 
 #[test]
-fn telemetry_payload_is_typed_per_backend() {
+fn telemetry_payload_is_tagged_symbolic() {
     let mut e = Engine::new();
-    let cases = [
-        ("symbolic", SYMBOLIC_TELEMETRY_KEYS.to_vec()),
-        ("explicit", vec!["types"]),
-        ("witnessed", vec!["types", "proved"]),
-    ];
-    for (backend, keys) in cases {
-        let r = e.execute_line(&format!(
-            r#"{{"op":"sat","query":"child::a","backend":"{backend}"}}"#
-        ));
-        assert_eq!(
-            r.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "{backend}"
+    let r = e.execute_line(r#"{"op":"sat","query":"child::a"}"#);
+    assert_eq!(r.get("ok").and_then(Value::as_bool), Some(true));
+    assert_eq!(r.get("backend").and_then(Value::as_str), Some("symbolic"));
+    let telemetry = r
+        .get("stats")
+        .and_then(|s| s.get("telemetry"))
+        .unwrap_or_else(|| panic!("no telemetry in {}", r.to_json()));
+    assert_eq!(
+        telemetry.get("backend").and_then(Value::as_str),
+        Some("symbolic")
+    );
+    for key in SYMBOLIC_TELEMETRY_KEYS {
+        assert!(
+            telemetry.get(key).is_some(),
+            "missing `{key}` in {}",
+            telemetry.to_json()
         );
-        assert_eq!(r.get("backend").and_then(Value::as_str), Some(backend));
-        let telemetry = r
-            .get("stats")
-            .and_then(|s| s.get("telemetry"))
-            .unwrap_or_else(|| panic!("{backend}: no telemetry in {}", r.to_json()));
-        assert_eq!(
-            telemetry.get("backend").and_then(Value::as_str),
-            Some(backend)
-        );
-        for key in keys {
-            assert!(
-                telemetry.get(key).is_some(),
-                "{backend}: missing `{key}` in {}",
-                telemetry.to_json()
-            );
-        }
     }
 }
 
@@ -498,56 +479,19 @@ fn merged_telemetry_golden_extended_schema() {
 }
 
 #[test]
-fn oversized_lean_is_unknown_and_never_cached() {
-    // This containment's lean is far beyond the default lean-diamond cap,
-    // so every enumerating backend must answer `"status":"unknown"`
-    // naming the exhausted resource (not a process-killing panic, not a
-    // protocol error) — and keep re-answering (unknowns are not
-    // memoized), while the same problem on the symbolic backend solves
-    // fine.
+fn batch_counts_unknown_apart_from_errors() {
+    // A lean far beyond what the enumerating reference backends accept
+    // solves on the service's symbolic solver.
     let mut e = Engine::new();
-    let explicit = r#"{"op":"contains","lhs":"a/b//d[prec-sibling::c]/e","rhs":"a/b//c/foll-sibling::d/e","backend":"explicit"}"#;
-    for backend in ["explicit", "witnessed"] {
-        let line = explicit.replace(
-            "\"backend\":\"explicit\"",
-            &format!("\"backend\":\"{backend}\""),
-        );
-        for _ in 0..2 {
-            let r = e.execute_line(&line);
-            assert_eq!(
-                r.get("ok").and_then(Value::as_bool),
-                Some(true),
-                "{backend}"
-            );
-            assert_eq!(
-                r.get("status").and_then(Value::as_str),
-                Some("unknown"),
-                "{backend}"
-            );
-            assert_eq!(r.get("holds"), Some(&Value::Null), "{backend}");
-            assert_eq!(
-                r.get("resource").and_then(Value::as_str),
-                Some("lean_diamonds"),
-                "{backend}"
-            );
-            assert_eq!(r.get("limit").and_then(Value::as_f64), Some(16.0));
-            let msg = r.get("reason").and_then(Value::as_str).unwrap();
-            assert!(msg.contains("resource exhausted"), "{msg}");
-            assert_eq!(r.get("cached").and_then(Value::as_bool), Some(false));
-        }
-    }
-    assert_eq!(e.cache_entries(), 0);
-    assert_eq!(e.counters().unknown, 4);
     let r = e.execute_line(
         r#"{"op":"contains","lhs":"a/b//d[prec-sibling::c]/e","rhs":"a/b//c/foll-sibling::d/e"}"#,
     );
     assert_eq!(r.get("holds").and_then(Value::as_bool), Some(true));
-    assert_eq!(e.cache_entries(), 1);
-    // The unknown also surfaces per-request on the batch path without
-    // derailing the rest of the batch, counted separately from errors.
+    // A starved solve surfaces per request on the batch path without
+    // derailing the rest of the batch, counted apart from errors.
     let out = e.run_batch(&[
-        Request::parse(explicit).unwrap(),
-        Request::parse(r#"{"op":"sat","query":"child::a","backend":"explicit"}"#).unwrap(),
+        Request::parse(r#"{"op":"sat","query":"a/b[c]","limits":{"max_iterations":1}}"#).unwrap(),
+        Request::parse(r#"{"op":"sat","query":"child::a"}"#).unwrap(),
     ]);
     assert_eq!(out.stats.problems, 2);
     assert_eq!(out.stats.errors, 0);
@@ -603,56 +547,6 @@ fn stats_echo_the_protocol_version() {
         Some(engine::PROTOCOL_VERSION as f64)
     );
     assert_eq!(r.get("unknown").and_then(Value::as_f64), Some(0.0));
-}
-
-#[test]
-fn cache_is_keyed_by_backend() {
-    let mut e = Engine::new();
-    let sym = e.execute_line(r#"{"op":"sat","query":"child::a"}"#);
-    assert_eq!(sym.get("cached").and_then(Value::as_bool), Some(false));
-    // Same problem, different backend: must re-solve, not hit the cache.
-    let exp = e.execute_line(r#"{"op":"sat","query":"child::a","backend":"explicit"}"#);
-    assert_eq!(exp.get("cached").and_then(Value::as_bool), Some(false));
-    assert_eq!(e.cache_entries(), 2);
-    // Witnessed results land under their own key too.
-    let witnessed = e.execute_line(r#"{"op":"sat","query":"child::a","backend":"witnessed"}"#);
-    assert_eq!(
-        witnessed.get("cached").and_then(Value::as_bool),
-        Some(false)
-    );
-    assert_eq!(e.cache_entries(), 3);
-    // And each backend now hits its own entry.
-    for (line, backend) in [
-        (r#"{"op":"sat","query":"child::a"}"#, "symbolic"),
-        (
-            r#"{"op":"sat","query":"child::a","backend":"explicit"}"#,
-            "explicit",
-        ),
-        (
-            r#"{"op":"sat","query":"child::a","backend":"witnessed"}"#,
-            "witnessed",
-        ),
-    ] {
-        let r = e.execute_line(line);
-        assert_eq!(r.get("cached").and_then(Value::as_bool), Some(true));
-        assert_eq!(r.get("backend").and_then(Value::as_str), Some(backend));
-    }
-}
-
-#[test]
-fn engine_default_backend_applies_to_unmarked_requests() {
-    let mut e = Engine::with_config(EngineConfig {
-        threads: 2,
-        backend: BackendChoice::Witnessed,
-        ..EngineConfig::default()
-    });
-    assert_eq!(e.default_backend(), BackendChoice::Witnessed);
-    let r = e.execute_line(r#"{"op":"sat","query":"child::a"}"#);
-    assert_eq!(r.get("backend").and_then(Value::as_str), Some("witnessed"));
-    // An explicit per-request backend still overrides the default.
-    let r = e.execute_line(r#"{"op":"sat","query":"child::a","backend":"symbolic"}"#);
-    assert_eq!(r.get("backend").and_then(Value::as_str), Some("symbolic"));
-    let _ = Telemetry::default(); // re-exported type is usable downstream
 }
 
 #[test]

@@ -22,7 +22,8 @@
 //!   content graph (a pure graph pass, no solver);
 //! * **`wildcard-explosion`** — queries whose lean-diamond count exceeds
 //!   the enumeration cap, forcing symbolic-only solving (reads the same
-//!   accounting [`solver::Limits::max_lean_diamonds`] gates on).
+//!   [`solver::lean_diamonds`] accounting the enumerating reference
+//!   backends' lean cap gates on).
 //!
 //! # Architecture
 //!
@@ -137,11 +138,6 @@ impl LintEngine {
     /// An engine with a fresh default analyzer.
     pub fn new() -> LintEngine {
         LintEngine::default()
-    }
-
-    /// The underlying analyzer (to select a backend before running).
-    pub fn analyzer_mut(&mut self) -> &mut Analyzer {
-        &mut self.az
     }
 
     /// Lints the workspace: every probe is solved under `limits`.

@@ -453,8 +453,8 @@ fn unreachable_elements(name: &str, dtd: &Dtd, sev: Severity, out: &mut Vec<Diag
 }
 
 /// The `wildcard-explosion` pure pass: reads the lean-diamond accounting
-/// of the compiled query formula — the same measure
-/// [`solver::Limits::max_lean_diamonds`] gates enumeration on — and
+/// of the compiled query formula — the same [`solver::lean_diamonds`]
+/// measure the enumerating reference backends' lean cap gates on — and
 /// localizes the first step whose prefix crosses the threshold.
 fn wildcard_explosion(
     az: &mut Analyzer,

@@ -23,8 +23,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use engine::{
-    error_response, job_and_limits, json, metrics_response, outcome_response, read_framed,
-    registration_response, unknown_response, BackendChoice, Framed, Op, Request, RequestKind, Task,
+    effective_limits, error_response, json, metrics_response, outcome_response, read_framed,
+    registration_response, unknown_response, Framed, Op, Request, RequestKind, Task,
     UnknownVerdict, Value, PROTOCOL_VERSION,
 };
 
@@ -291,7 +291,6 @@ fn shed_scope(shared: &Arc<Shared>, tenant: &Arc<Tenant>) -> (&'static str, u64,
 fn shed_response(
     id: Option<&Value>,
     op: Op,
-    backend: BackendChoice,
     (scope, spent, limit): (&'static str, u64, u64),
 ) -> Value {
     obs::metrics()
@@ -305,7 +304,6 @@ fn shed_response(
             "request shed by admission control ({scope} bound {limit} reached); \
              retry against a less loaded server"
         ),
-        backend,
         wall_ms: 0.0,
     };
     unknown_response(id, op, &unknown, None)
@@ -348,7 +346,6 @@ fn handle_request(
         }
         RequestKind::Problem {
             spec,
-            backend,
             limits,
             trace,
         } => {
@@ -369,23 +366,16 @@ fn handle_request(
                     return;
                 }
             };
-            let (job, limits) = job_and_limits(
-                problem,
-                backend,
-                limits.as_ref(),
-                shared.config.backend,
-                &tenant.limits,
-            );
-            let backend = job.backend;
+            let limits = effective_limits(limits.as_ref(), &tenant.limits);
             let Some(guard) = admit(shared, tenant) else {
                 let scope = shed_scope(shared, tenant);
-                send(shed_response(req.id.as_ref(), op, backend, scope));
+                send(shed_response(req.id.as_ref(), op, scope));
                 return;
             };
             let (id, reply) = (req.id.clone(), tx.clone());
             let task: Task = Box::new(move |w| {
                 let started = Instant::now();
-                let solved = w.solve(&job, &limits, trace);
+                let solved = w.solve(&problem, &limits, trace);
                 let response = outcome_response(
                     id.as_ref(),
                     op,
@@ -408,7 +398,7 @@ fn handle_request(
             // alive while the shed scope is read.
             if let Err(_refused) = shared.pool.try_submit(task) {
                 let scope = shed_scope(shared, tenant);
-                send(shed_response(req.id.as_ref(), op, backend, scope));
+                send(shed_response(req.id.as_ref(), op, scope));
             }
         }
         RequestKind::Stats => send(stats_response(shared, tenant, req.id.as_ref())),

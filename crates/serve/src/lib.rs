@@ -63,7 +63,6 @@ mod tenant;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use engine::BackendChoice;
 use solver::Limits;
 
 pub use server::{DrainReport, Server};
@@ -92,8 +91,6 @@ pub struct ServerConfig {
     /// Worker threads solving admitted problems; `0` picks the machine's
     /// available parallelism (capped at 16).
     pub threads: usize,
-    /// Default solver backend for requests that do not name one.
-    pub backend: BackendChoice,
     /// Server-wide default resource limits (the base tenants inherit).
     pub limits: Limits,
     /// Connection-pool bound: concurrent connections beyond this are
@@ -129,7 +126,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             threads: 0,
-            backend: BackendChoice::default(),
             limits: Limits::default(),
             max_connections: 64,
             queue_depth: 256,

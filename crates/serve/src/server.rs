@@ -19,7 +19,6 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use analyzer::AnalyzerOptions;
 use engine::{Pool, PoolConfig};
 use solver::CancelToken;
 
@@ -172,10 +171,6 @@ impl Server {
         let pool = Pool::new(PoolConfig {
             threads: config.threads,
             queue_depth: config.queue_depth,
-            options: AnalyzerOptions {
-                backend: config.backend,
-                ..AnalyzerOptions::default()
-            },
             trace_sink: None,
             slow_solve_ms: None,
             queue_gauge: "xsat_serve_queue_depth",

@@ -1,5 +1,5 @@
 //! Golden behaviour of the TCP serving tier over real sockets: protocol
-//! round-trips, shed-under-full-queue semantics (typed `unknown`, never
+//! round-trips, removed backend values, shed-under-full-queue semantics (typed `unknown`, never
 //! memo-cached), tenant-namespace isolation, and drain-on-shutdown
 //! response ordering.
 
@@ -38,6 +38,28 @@ fn golden_roundtrip_over_tcp() {
     let r = c.roundtrip(r#"{"id":3,"op":"contains","lhs":"q1","rhs":"q2"}"#);
     assert_eq!(s(&r, "status"), Some("fails"));
     assert!(r.get("counter_example").and_then(Value::as_str).is_some());
+
+    let report = server.shutdown();
+    assert!(report.drained);
+}
+
+#[test]
+fn removed_backend_is_an_error_and_the_connection_keeps_serving() {
+    let server = start(test_config());
+    let mut c = Client::connect(&server);
+
+    let r = c.roundtrip(r#"{"id":1,"op":"sat","query":"child::a","backend":"explicit"}"#);
+    assert_eq!(s(&r, "status"), Some("error"), "{}", r.to_json());
+    assert_eq!(
+        s(&r, "error"),
+        Some("unknown backend `explicit` (expected symbolic)")
+    );
+    // The same connection answers the next request, naming the one
+    // backend, with a verdict.
+    let r = c.roundtrip(r#"{"id":2,"op":"sat","query":"child::a","backend":"symbolic"}"#);
+    assert_eq!(s(&r, "status"), Some("holds"), "{}", r.to_json());
+    assert_eq!(s(&r, "backend"), Some("symbolic"));
+    assert_eq!(b(&r, "cached"), Some(false));
 
     let report = server.shutdown();
     assert!(report.drained);

@@ -15,9 +15,9 @@
 //! thin wrappers that build a backend and hand it to the driver; future
 //! backends (relevance-filtered, sharded, …) plug into the same seam.
 //!
-//! [`BackendChoice`] is the end-to-end selection type threaded from the
-//! `xsat --backend` flag through the engine protocol and the analyzer down
-//! to [`solve_with`].
+//! [`BackendChoice`] selects the backend through the analyzer down to
+//! [`solve_with`]. The engine and the CLI always run symbolic; tests
+//! select the two reference backends as oracles.
 
 use std::fmt;
 use std::str::FromStr;
@@ -279,9 +279,9 @@ pub fn run_fixpoint_traced<B: Backend>(
     })
 }
 
-/// End-to-end backend selection: which solver answers a satisfiability
-/// query. Threaded from the `xsat --backend` flag through the engine's
-/// JSONL protocol and the analyzer options down to [`solve_with`].
+/// Backend selection: which solver answers a satisfiability query.
+/// Threaded from the analyzer options down to [`solve_with`]; only tests
+/// pick the reference backends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendChoice {
     /// The BDD-based production algorithm of §7 (the default).
@@ -492,8 +492,8 @@ pub fn solve_with_traced(
 
 /// Errs, with a `limit` trace event, when a lean is too large for the
 /// caller's enumeration cap. The cap is clamped to the enumerator's
-/// representation limit, so a wire request raising `max_lean` arbitrarily
-/// high can never push an oversized lean into the enumerator's panic path.
+/// representation limit, so a caller raising the cap arbitrarily high can
+/// never push an oversized lean into the enumerator's panic path.
 fn enumeration_feasible(
     diamonds: usize,
     limits: &Limits,
@@ -590,7 +590,7 @@ mod tests {
 
     #[test]
     fn raised_lean_cap_is_clamped_to_the_representation_limit() {
-        // A wire request may set max_lean far past the enumerator's u32
+        // A caller may set the lean cap far past the enumerator's u32
         // mask limit; the feasibility check must clamp — returning a
         // typed exhaustion against the clamped cap — instead of letting
         // the oversized lean reach the enumerator's panic path.

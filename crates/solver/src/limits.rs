@@ -6,7 +6,7 @@
 //! huge) lean can otherwise pin a worker for an unbounded time or grow the
 //! BDD store without limit. [`Limits`] is that admission-control contract,
 //! threaded from the engine protocol (`"limits"` request objects, `xsat
-//! --timeout-ms/--max-bdd-nodes/--max-lean`) through
+//! --timeout-ms/--max-bdd-nodes`) through
 //! [`Analyzer::solve`](../analyzer) down to
 //! [`run_fixpoint`](crate::run_fixpoint) and the BDD manager's allocation
 //! path. Hitting a budget is *not* an error in the solver-bug sense: it is
@@ -97,7 +97,9 @@ pub struct Limits {
     pub deadline: Option<Duration>,
     /// Budget on live BDD nodes, enforced by the manager at allocation
     /// (the check is sticky: once an allocation pushes the arena past the
-    /// budget the run reports exhaustion at its next poll point).
+    /// budget the run reports exhaustion at its next poll point). A
+    /// budgeted symbolic run garbage-collects the arena by half the budget
+    /// at the latest.
     pub max_bdd_nodes: Option<usize>,
     /// Cap on `Upd` fixpoint iterations.
     pub max_iterations: Option<usize>,

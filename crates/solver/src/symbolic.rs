@@ -56,8 +56,8 @@ pub struct SymbolicOptions {
     /// Variable order (§7.4).
     pub var_order: VarOrder,
     /// Node-count threshold that triggers garbage collection (default: a
-    /// few million). Tests set it very low to exercise collection on every
-    /// step.
+    /// few million, or half the run's node budget when that is smaller).
+    /// Tests set it very low to exercise collection on every step.
     pub gc_threshold: Option<usize>,
 }
 
@@ -118,7 +118,8 @@ struct FixpointState {
     round: usize,
 }
 
-/// Collect when the store first exceeds this many nodes.
+/// Collect when the store first exceeds this many nodes (or half the
+/// node budget, when that is smaller).
 const GC_FLOOR: usize = 2_000_000;
 
 struct Sym<'m> {
@@ -229,7 +230,14 @@ impl<'m> Sym<'m> {
             Self::build_delta(bdd, &xvar, &arg_status, &entries, Program::Down2, opts),
         ];
 
-        let gc_floor = opts.gc_threshold.unwrap_or(GC_FLOOR);
+        // The node budget meters the whole store, garbage included, so a
+        // budgeted run collects by half its budget at the latest: the
+        // budget then caps live nodes, not uncollected garbage.
+        let gc_floor = opts.gc_threshold.unwrap_or(
+            limits
+                .max_bdd_nodes
+                .map_or(GC_FLOOR, |budget| GC_FLOOR.min(budget / 2)),
+        );
         let state = FixpointState {
             un: bdd.zero(),
             mk: bdd.zero(),

@@ -1,14 +1,14 @@
 //! `xsat` — the command-line front end of the batch-analysis engine.
 //!
 //! ```text
-//! xsat check <XPATH> [--dtd FILE] [--backend B] [--empty] [--json] [OBS] [LIMITS]
-//! xsat compare <XPATH1> <XPATH2> [--dtd FILE] [--backend B] [--op contains|overlap|equiv] [--json] [OBS] [LIMITS]
-//! xsat batch <FILE.jsonl> [--threads N] [--backend B] [--summary-only] [OBS] [LIMITS]
+//! xsat check <XPATH> [--dtd FILE] [--empty] [--json] [OBS] [LIMITS]
+//! xsat compare <XPATH1> <XPATH2> [--dtd FILE] [--op contains|overlap|equiv] [--json] [OBS] [LIMITS]
+//! xsat batch <FILE.jsonl> [--threads N] [--summary-only] [OBS] [LIMITS]
 //! xsat lint <FILE.jsonl> [--deny RULE]... [--allow RULE]... [--type NAME] [--max-diamonds N] [--json] [OBS] [LIMITS]
-//! xsat serve [--tcp ADDR] [--threads N] [--backend B] [SERVE] [OBS] [LIMITS]
-//! xsat metrics [FILE.jsonl] [--threads N] [--backend B] [OBS] [LIMITS]
+//! xsat serve [--tcp ADDR] [--threads N] [SERVE] [OBS] [LIMITS]
+//! xsat metrics [FILE.jsonl] [--threads N] [OBS] [LIMITS]
 //! OBS:    [--trace-file FILE] [--slow-ms N]
-//! LIMITS: [--timeout-ms N] [--max-bdd-nodes N] [--max-lean N]
+//! LIMITS: [--timeout-ms N] [--max-bdd-nodes N]
 //! SERVE:  [--max-connections N] [--queue-depth N] [--tenant-inflight N]
 //!         [--drain-ms N] [--read-timeout-ms N] [--max-line-bytes N]
 //!         (all but --max-line-bytes need --tcp; --tcp takes no OBS flags)
@@ -21,16 +21,11 @@
 //! the solve could decide (the `unknown` verdict), so they compose with
 //! shell logic.
 //!
-//! `--backend {symbolic,explicit,witnessed}` selects the solver backend
-//! (default `symbolic`); `explicit` and `witnessed` are the paper's
-//! reference algorithms, kept as cross-checks. For `batch`/`serve` the
-//! flag sets the default backend of the engine, which individual requests
-//! override with a `"backend"` field; every verdict echoes the backend
-//! that produced it.
+//! Every subcommand decides its problems with the paper's symbolic (§7)
+//! solver, and every verdict echoes `"backend":"symbolic"`.
 //!
-//! `--timeout-ms`, `--max-bdd-nodes` and `--max-lean` set the engine's
-//! default resource limits — wall-clock deadline, BDD node budget, and
-//! the lean-diamond cap of the enumerating backends — on every
+//! `--timeout-ms` and `--max-bdd-nodes` set the engine's default resource
+//! limits — wall-clock deadline and BDD node budget — on every
 //! subcommand; individual `batch`/`serve` requests override them with a
 //! `"limits"` object. A budget hit reaches clients as
 //! `"status":"unknown"` with the exhausted resource named, and such
@@ -59,7 +54,7 @@ use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use xsat::engine::{BackendChoice, Engine, EngineConfig, JsonlSink, Limits, Request, Value};
+use xsat::engine::{Engine, EngineConfig, JsonlSink, Limits, Request, Value};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -96,12 +91,12 @@ const USAGE: &str = "\
 xsat — efficient static analysis of XML paths and types
 
 USAGE:
-  xsat check <XPATH> [--dtd FILE] [--backend B] [--empty] [--explain] [--json] [LIMITS]
+  xsat check <XPATH> [--dtd FILE] [--empty] [--explain] [--json] [LIMITS]
       Decide satisfiability (default) or emptiness (--empty) of a query,
       optionally under the DTD in FILE. Exits 0 when the property holds,
       1 when it does not, 3 when a resource budget ran out (unknown).
 
-  xsat compare <XPATH1> <XPATH2> [--dtd FILE] [--backend B] [--op contains|overlap|equiv] [--explain] [--json] [LIMITS]
+  xsat compare <XPATH1> <XPATH2> [--dtd FILE] [--op contains|overlap|equiv] [--explain] [--json] [LIMITS]
       Decide containment (default), overlap or equivalence of two queries,
       optionally under the DTD in FILE. Exit codes as for check.
 
@@ -111,11 +106,11 @@ USAGE:
       document was re-checked against the source formula (and the DTD)
       by the model-checking oracle before being emitted.
 
-  xsat batch <FILE.jsonl> [--threads N] [--backend B] [--summary-only] [LIMITS]
+  xsat batch <FILE.jsonl> [--threads N] [--summary-only] [LIMITS]
       Run a JSON-lines request file through the parallel batch executor.
       One response line per request on stdout; a summary object on stderr.
 
-  xsat lint <FILE.jsonl> [--deny RULE]... [--allow RULE]... [--type NAME] [--max-diamonds N] [--threads N] [--backend B] [--json] [LIMITS]
+  xsat lint <FILE.jsonl> [--deny RULE]... [--allow RULE]... [--type NAME] [--max-diamonds N] [--threads N] [--json] [LIMITS]
       Load the workspace registrations in FILE (dtd/query requests), then
       run the solver-backed lint rules over every registered query:
       dead-step, contradictory-predicate, redundant-union-branch,
@@ -126,7 +121,7 @@ USAGE:
       wildcard-explosion threshold. Exits 0 when no error-severity
       findings remain, 1 otherwise, 2 on workspace/config errors.
 
-  xsat serve [--tcp ADDR] [--threads N] [--backend B] [SERVE] [LIMITS]
+  xsat serve [--tcp ADDR] [--threads N] [SERVE] [LIMITS]
       Speak the JSONL protocol as a co-process: requests on stdin, one
       verdict per line on stdout (flushed per line). With --tcp ADDR,
       listen on ADDR instead (e.g. 127.0.0.1:7600) and serve the same
@@ -149,7 +144,7 @@ rejects the OBS flags):
                        30000); 0 waits forever
   --max-line-bytes N   request-line size cap (default 1 MiB)
 
-  xsat metrics [FILE.jsonl] [--threads N] [--backend B] [LIMITS]
+  xsat metrics [FILE.jsonl] [--threads N] [LIMITS]
       Run the (optional) JSON-lines request file, then render the
       process-wide metrics registry — solve counts and latency histograms
       by op x backend x status, memo-cache traffic, unknowns by exhausted
@@ -163,17 +158,10 @@ Observability (on every subcommand; see docs/OBSERVABILITY.md):
                      in the engine's slow-solve ring buffer; dump it with
                      the `slowlog` protocol request
 
-Backends (--backend, default symbolic):
-  symbolic    the BDD-based production algorithm (paper §7)
-  explicit    the enumerated reference algorithm (paper §6.2)
-  witnessed   the literal Fig 16 algorithm with explicit witness sets
-
 Resource limits (LIMITS, on every subcommand — the engine defaults, which
 individual batch/serve requests override with a \"limits\" object):
   --timeout-ms N     wall-clock deadline per solve, in milliseconds
-  --max-bdd-nodes N  budget on live BDD nodes of the symbolic backend
-  --max-lean N       lean-diamond cap of the enumerating backends
-                     (default 16); oversized leans come back unknown
+  --max-bdd-nodes N  budget on live BDD nodes of the solver
 A budget hit is reported as \"status\":\"unknown\" with the exhausted
 resource named; unknown verdicts are never memo-cached.
 
@@ -192,7 +180,6 @@ struct Opts {
     positional: Vec<String>,
     dtd: Option<String>,
     op: Option<String>,
-    backend: Option<BackendChoice>,
     limits: Limits,
     threads: usize,
     json: bool,
@@ -219,7 +206,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         positional: Vec::new(),
         dtd: None,
         op: None,
-        backend: None,
         limits: Limits::default(),
         threads: 0,
         json: false,
@@ -259,10 +245,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 opts.dtd = Some(source);
             }
             "--op" => opts.op = Some(it.next().ok_or("--op needs an argument")?.clone()),
-            "--backend" => {
-                let name = it.next().ok_or("--backend needs an argument")?;
-                opts.backend = Some(name.parse()?);
-            }
             "--threads" => {
                 opts.threads = it
                     .next()
@@ -285,14 +267,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     .parse()
                     .map_err(|e| format!("--max-bdd-nodes: {e}"))?;
                 opts.limits.max_bdd_nodes = Some(n);
-            }
-            "--max-lean" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--max-lean needs a number")?
-                    .parse()
-                    .map_err(|e| format!("--max-lean: {e}"))?;
-                opts.limits.max_lean_diamonds = n;
             }
             "--trace-file" => {
                 opts.trace_file = Some(
@@ -361,12 +335,10 @@ fn engine_with(threads: usize, opts: &Opts) -> Result<Engine, String> {
     };
     Ok(Engine::with_config(EngineConfig {
         threads,
-        backend: opts.backend.unwrap_or_default(),
         limits: opts.limits.clone(),
         trace_sink,
         slow_solve_ms: opts.slow_ms,
         max_line_bytes: opts.max_line_bytes.unwrap_or(0),
-        ..EngineConfig::default()
     }))
 }
 
@@ -376,7 +348,7 @@ fn check(args: &[String]) -> Result<ExitCode, String> {
         return Err("check needs exactly one XPath argument".into());
     };
     let op = if opts.empty { "empty" } else { "sat" };
-    let line = request_value(op, &[("query", query)], opts.dtd.as_deref(), opts.backend);
+    let line = request_value(op, &[("query", query)], opts.dtd.as_deref());
     run_one(line, &opts)
 }
 
@@ -391,33 +363,19 @@ fn compare(args: &[String]) -> Result<ExitCode, String> {
         Some("equiv") => "equiv",
         Some(other) => return Err(format!("unknown --op `{other}`")),
     };
-    let line = request_value(
-        op,
-        &[("lhs", lhs), ("rhs", rhs)],
-        opts.dtd.as_deref(),
-        opts.backend,
-    );
+    let line = request_value(op, &[("lhs", lhs), ("rhs", rhs)], opts.dtd.as_deref());
     run_one(line, &opts)
 }
 
 /// Builds a protocol request object; a DTD source (if any) rides along as
-/// the inline `type` reference and a backend choice as the `backend`
-/// field.
-fn request_value(
-    op: &str,
-    fields: &[(&str, &str)],
-    dtd: Option<&str>,
-    backend: Option<BackendChoice>,
-) -> Value {
+/// the inline `type` reference.
+fn request_value(op: &str, fields: &[(&str, &str)], dtd: Option<&str>) -> Value {
     let mut obj = vec![("op".to_owned(), Value::from(op))];
     for (k, v) in fields {
         obj.push(((*k).to_owned(), Value::from(*v)));
     }
     if let Some(src) = dtd {
         obj.push(("type".to_owned(), Value::from(src)));
-    }
-    if let Some(b) = backend {
-        obj.push(("backend".to_owned(), Value::from(b.as_str())));
     }
     Value::Obj(obj)
 }
@@ -462,7 +420,7 @@ fn print_human(response: &Value, explain: bool) {
                 .and_then(Value::as_str)
                 .unwrap_or("resource exhausted");
             println!("{op} [{backend}]: UNKNOWN — {reason}");
-            println!("hint: retry with a larger --timeout-ms / --max-bdd-nodes / --max-lean");
+            println!("hint: retry with a larger --timeout-ms / --max-bdd-nodes");
             return;
         }
         _ => println!("{}", response.to_json()),
@@ -588,9 +546,6 @@ fn lint(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(n) = opts.max_diamonds {
         fields.push(("max_diamonds".to_owned(), Value::from(n)));
-    }
-    if let Some(b) = opts.backend {
-        fields.push(("backend".to_owned(), Value::from(b.as_str())));
     }
     let req = Request::from_value(&Value::Obj(fields))?;
     let response = engine.execute(&req);
@@ -719,7 +674,6 @@ fn serve_tcp(addr: &str, opts: &Opts) -> Result<ExitCode, String> {
     let defaults = xsat::serve::ServerConfig::default();
     let config = xsat::serve::ServerConfig {
         threads: opts.threads,
-        backend: opts.backend.unwrap_or_default(),
         limits: opts.limits.clone(),
         max_connections: opts.max_connections.unwrap_or(defaults.max_connections),
         queue_depth: opts.queue_depth.unwrap_or(defaults.queue_depth),

@@ -8,7 +8,9 @@
 //! re-evaluated with the denotational XPath interpreter and, where a DTD is
 //! involved, with the derivative-based validator.
 
-use xsat::analyzer::{paper, Analyzer, BackendChoice};
+use std::sync::Arc;
+
+use xsat::analyzer::{paper, Analyzer, BackendChoice, Limits, Problem};
 use xsat::ftree::Tree;
 use xsat::treetypes::smil_1_0;
 use xsat::xpath::eval_on_tree;
@@ -52,6 +54,29 @@ fn row2_e4_equivalent_e3() {
     let (fwd, bwd) = az.equivalent(&e4, None, &e3, None).unwrap();
     assert!(fwd.holds && bwd.holds);
     assert_eq!(pinned(2), [fwd.holds, bwd.holds]);
+}
+
+/// Table 2 row 2 under a node budget below the store size of an
+/// unbudgeted solve (about 6.1k nodes, garbage included): the store
+/// collects by half the budget, so the budget caps live nodes and both
+/// directions still decide instead of coming back `unknown` on garbage.
+#[test]
+fn row2_decides_under_a_node_budget_below_its_garbage() {
+    let (e3, e4) = (Arc::new(paper::query(3)), Arc::new(paper::query(4)));
+    let limits = Limits {
+        max_bdd_nodes: Some(4000),
+        ..Limits::default()
+    };
+    let mut az = Analyzer::new();
+    for (lhs, rhs) in [(&e4, &e3), (&e3, &e4)] {
+        let problem = Problem::contains(lhs.clone(), None, rhs.clone(), None);
+        let v = az
+            .solve(&problem, &limits)
+            .unwrap_or_else(|e| panic!("{lhs} ⊆ {rhs}: {e}"));
+        assert!(v.holds, "{lhs} ⊆ {rhs}");
+        let peak = v.stats.telemetry.bdd_counters().unwrap().peak_nodes;
+        assert!(peak <= 4000, "{lhs} ⊆ {rhs}: peak {peak}");
+    }
 }
 
 /// Table 2 row 3: the paper reports `e6 ⊆ e5`; under the standard XPath
